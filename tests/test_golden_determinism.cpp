@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/cpuload_model.h"
 #include "os/system.h"
 #include "powerapi/fleet_monitor.h"
 #include "workloads/behaviors.h"
@@ -172,42 +173,141 @@ std::string run_case(std::uint64_t seed) {
   return out.str();
 }
 
+/// CPU-load baseline trained on a synthetic per-frequency utilization sweep
+/// (watts linear in utilization, slope proportional to frequency).
+std::shared_ptr<const baselines::MachinePowerEstimator> golden_cpuload() {
+  model::SampleSet samples;
+  samples.idle_watts = 31.0;
+  for (const double hz : simcpu::i3_2120().frequencies_hz) {
+    samples.frequencies_hz.push_back(hz);
+    std::vector<model::TrainingSample> batch;
+    for (int step = 1; step <= 9; ++step) {
+      model::TrainingSample sample;
+      sample.frequency_hz = hz;
+      sample.utilization = 0.1 * step;
+      sample.watts = samples.idle_watts + 24.0 * hz / 3.3e9 * sample.utilization;
+      batch.push_back(sample);
+    }
+    samples.by_frequency.push_back(std::move(batch));
+  }
+  return std::make_shared<baselines::CpuLoadModel>(baselines::CpuLoadModel::train(samples));
+}
+
+/// Config C: every formula at once, so the committed rows pin the order in
+/// which formulas reach a host's reporter — group dimension; powerspy, rapl
+/// and io meters plus one baseline estimator next to the regression; online
+/// calibration on one registry shared by the whole fleet (a swap on one
+/// host is seen by every host from the next round on); hosts on 25 ms and
+/// 40 ms periods, so they tick on different rounds; a process spawned
+/// mid-run. Every host's rows are serialized in arrival order, together
+/// with every model swap.
+std::string run_multi_formula_case() {
+  constexpr std::uint64_t kSeed = 11;
+  constexpr std::size_t kHosts = 4;
+  std::vector<std::unique_ptr<os::System>> hosts;
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    os::System::Options host_options;
+    host_options.with_peripherals = true;
+    auto host = std::make_unique<os::System>(spec_for(i), std::move(host_options));
+    const os::Pid web = host->spawn(
+        "web", std::make_unique<workloads::SteadyBehavior>(
+                   workloads::mixed_stress(0.3 + 0.1 * static_cast<double>(i), 6e6, 0.85), 0));
+    host->set_group(web, "web");
+    const os::Pid files = host->spawn(
+        "files", std::make_unique<workloads::SteadyBehavior>(
+                     workloads::io_stress(40.0 + 20.0 * static_cast<double>(i), 30.0, 1.0), 0));
+    host->set_group(files, "storage");
+    host->spawn("mem", std::make_unique<workloads::SteadyBehavior>(
+                           workloads::memory_stress(4e6 * static_cast<double>(1 + i % 3), 0.8),
+                           0));
+    hosts.push_back(std::move(host));
+  }
+
+  FleetMonitor::Options options;
+  options.mode = actors::ActorSystem::Mode::kManual;
+  options.hosts_per_chunk = 3;
+  FleetMonitor fleet(options);
+  auto registry = std::make_shared<model::ModelRegistry>(golden_model(kSeed));
+  const auto cpuload = golden_cpuload();
+  std::vector<MemoryReporter*> memory;
+  std::ostringstream swaps;
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    PipelineSpec spec;
+    spec.period = ms_to_ns(i % 2 == 0 ? 25 : 40);
+    spec.registry = registry;
+    spec.seed = kSeed * 1000 + i;
+    spec.with_powerspy = true;
+    spec.with_rapl = true;
+    spec.with_io = true;
+    spec.estimators = {cpuload};
+    spec.with_calibration = true;
+    spec.calibration.drift_threshold_watts = 0.5;
+    spec.calibration.min_refit_interval = ms_to_ns(300);
+    spec.dimension = AggregationDimension::kGroup;
+    const std::size_t index = fleet.add_host(*hosts[i], std::move(spec));
+    memory.push_back(&fleet.add_memory_reporter(index));
+    fleet.pipeline(index).add_model_update_callback([&swaps, i](const ModelUpdated& update) {
+      swaps << "C:swap,h" << i << ',' << update.timestamp << ',' << update.version << ','
+            << update.samples_used << ',' << update.bins_refit << ','
+            << hex_double(update.pre_swap_error_watts) << '\n';
+    });
+    fleet.monitor_all(index);
+  }
+  fleet.run_for(ms_to_ns(1500));
+  const os::Pid late = hosts[0]->spawn(
+      "late", std::make_unique<workloads::SteadyBehavior>(workloads::cpu_stress(0.6), 0));
+  hosts[0]->set_group(late, "batch");
+  fleet.run_for(ms_to_ns(1500));
+  fleet.finish();
+
+  std::ostringstream out;
+  out << "config:host,formula,timestamp_ns,pid,group,watts_hex\n";
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    for (const auto& row : memory[i]->all()) {
+      out << "C:h" << i << ',' << row.formula << ',' << row.timestamp << ',' << row.pid << ','
+          << row.group << ',' << hex_double(row.watts) << '\n';
+    }
+  }
+  out << swaps.str();
+  return out.str();
+}
+
 std::string golden_path(std::uint64_t seed) {
   return std::string(POWERAPI_GOLDEN_DIR) + "/fleet_kmanual_seed" +
          std::to_string(seed) + ".csv";
 }
 
-class GoldenDeterminism : public testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(GoldenDeterminism, MatchesCommittedCsvBitForBit) {
-  const std::uint64_t seed = GetParam();
-  const std::string actual = run_case(seed);
-  ASSERT_GT(actual.size(), 1000u) << "suspiciously small output";
-
+/// Compares `actual` against a committed golden file line by line, or
+/// rewrites the file under POWERAPI_GOLDEN_REGEN.
+void expect_matches_golden(const std::string& actual, const std::string& path) {
   if (std::getenv("POWERAPI_GOLDEN_REGEN") != nullptr) {
-    std::ofstream out(golden_path(seed), std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path(seed);
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << actual;
-    GTEST_SKIP() << "regenerated " << golden_path(seed);
+    GTEST_SKIP() << "regenerated " << path;
   }
-
-  std::ifstream in(golden_path(seed), std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path(seed)
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
                          << " — run with POWERAPI_GOLDEN_REGEN=1";
   std::ostringstream expected;
   expected << in.rdbuf();
-
-  // Compare line-by-line for a readable first divergence, then whole-file.
   std::istringstream actual_lines(actual), expected_lines(expected.str());
   std::string a, e;
   std::size_t line = 0;
   while (std::getline(expected_lines, e)) {
     ++line;
-    ASSERT_TRUE(std::getline(actual_lines, a))
-        << "output truncated at golden line " << line;
+    ASSERT_TRUE(std::getline(actual_lines, a)) << "output truncated at golden line " << line;
     ASSERT_EQ(a, e) << "first divergence at line " << line;
   }
   EXPECT_FALSE(std::getline(actual_lines, a)) << "extra rows beyond the golden file";
+}
+
+class GoldenDeterminism : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GoldenDeterminism, MatchesCommittedCsvBitForBit) {
+  const std::string actual = run_case(GetParam());
+  ASSERT_GT(actual.size(), 1000u) << "suspiciously small output";
+  expect_matches_golden(actual, golden_path(GetParam()));
 }
 
 TEST_P(GoldenDeterminism, RunTwiceIsIdentical) {
@@ -228,6 +328,20 @@ TEST_P(GoldenDeterminism, ThreadedFleetMatchesManualPerHostSeries) {
   run_fleet_case(seed, threaded, actors::ActorSystem::Mode::kThreaded,
                  /*serialize_fleet=*/false);
   EXPECT_EQ(manual.str(), threaded.str());
+}
+
+TEST(GoldenMultiFormula, MatchesCommittedCsvBitForBit) {
+  const std::string actual = run_multi_formula_case();
+  ASSERT_GT(actual.size(), 1000u) << "suspiciously small output";
+  ASSERT_NE(actual.find("C:swap"), std::string::npos) << "calibration never swapped";
+  ASSERT_NE(actual.find(",io-datasheet,"), std::string::npos);
+  ASSERT_NE(actual.find(",cpu-load,"), std::string::npos);
+  ASSERT_NE(actual.find(",rapl,"), std::string::npos);
+  expect_matches_golden(actual, std::string(POWERAPI_GOLDEN_DIR) + "/fleet_kmanual_multi_formula.csv");
+}
+
+TEST(GoldenMultiFormula, RunTwiceIsIdentical) {
+  EXPECT_EQ(run_multi_formula_case(), run_multi_formula_case());
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedSweep, GoldenDeterminism,
