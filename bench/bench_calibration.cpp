@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "fixtures.h"
 #include "gbench_json.h"
 #include "model/model_registry.h"
 #include "model/power_model.h"
@@ -21,28 +22,19 @@ using namespace powerapi;
 
 namespace {
 
+/// The paper's counters with frequency-scaled coefficients, off by
+/// `distortion` from the host's truth.
 model::CpuPowerModel seed_model(double distortion) {
-  std::vector<model::FrequencyFormula> formulas;
-  for (const double hz : simcpu::i3_2120().frequencies_hz) {
-    model::FrequencyFormula f;
-    f.frequency_hz = hz;
-    f.events.assign(hpc::paper_events().begin(), hpc::paper_events().end());
-    const double scale = distortion * hz / 3.3e9;
-    f.coefficients = {2.2e-9 * scale, 2.5e-8 * scale, 1.9e-7 * scale};
-    formulas.push_back(std::move(f));
-  }
-  return model::CpuPowerModel(31.48, std::move(formulas));
+  return benchx::ladder_model(
+      31.48, {hpc::paper_events().begin(), hpc::paper_events().end()},
+      [distortion](double hz) {
+        const double scale = distortion * hz / 3.3e9;
+        return std::vector<double>{2.2e-9 * scale, 2.5e-8 * scale, 1.9e-7 * scale};
+      });
 }
 
 std::unique_ptr<os::System> loaded_host() {
-  auto host = std::make_unique<os::System>(simcpu::i3_2120());
-  for (int i = 0; i < 4; ++i) {
-    host->spawn("app", std::make_unique<workloads::SteadyBehavior>(
-                           workloads::mixed_stress(0.6, 6.0 * 1024 * 1024, 0.8),
-                           /*duration=*/0));
-  }
-  host->run_for(util::ms_to_ns(10));
-  return host;
+  return benchx::loaded_host(4, workloads::mixed_stress(0.6, 6.0 * 1024 * 1024, 0.8));
 }
 
 /// One monitoring tick of a single-host pipeline, calibration on or off.
@@ -94,8 +86,8 @@ void BM_RegistryPublish(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistryPublish);
 
-/// Reader side: pinning the current snapshot, as RegressionFormula does per
-/// report.
+/// Reader side: pinning the current snapshot, as a pipeline does once per
+/// round for its regression formula.
 void BM_RegistryRead(benchmark::State& state) {
   model::ModelRegistry registry(seed_model(1.0));
   for (auto _ : state) {

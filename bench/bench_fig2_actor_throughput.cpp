@@ -79,8 +79,8 @@ void BM_EventBusFanout(benchmark::State& state) {
 BENCHMARK(BM_EventBusFanout)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_EventBusFanoutFatPayload(benchmark::State& state) {
-  // Fan-out of a payload too big for inline storage (a 2 KiB sample vector,
-  // the shape of a SensorReport burst): the bus materializes it once per
+  // Fan-out of a payload too big for inline storage (a 2 KiB sample
+  // vector): the bus materializes it once per
   // publish and shares it by refcount, so per-subscriber cost is a pointer
   // copy instead of a deep copy. Publishes by interned TopicId, as the
   // pipeline components do.

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "fixtures.h"
 #include "gbench_json.h"
 #include "governor/governor.h"
 #include "model/power_model.h"
@@ -34,27 +35,19 @@ using namespace powerapi;
 
 namespace {
 
-model::CpuPowerModel tiny_model() {
-  std::vector<model::FrequencyFormula> formulas;
-  for (const double hz : simcpu::i3_2120().frequencies_hz) {
-    model::FrequencyFormula f;
-    f.frequency_hz = hz;
-    f.events = {hpc::EventId::kInstructions, hpc::EventId::kCacheMisses};
-    const double scale = hz / 3.3e9;
-    f.coefficients = {2.0e-9 * scale, 1.85e-7 + 0.75e-7 * scale};
-    formulas.push_back(std::move(f));
-  }
-  return model::CpuPowerModel(26.0, std::move(formulas));
+/// Two-counter model with frequency-scaled coefficients: the governor's
+/// estimates must move with DVFS for its decisions to matter.
+model::CpuPowerModel governor_model() {
+  return benchx::ladder_model(
+      26.0, {hpc::EventId::kInstructions, hpc::EventId::kCacheMisses}, [](double hz) {
+        const double scale = hz / 3.3e9;
+        return std::vector<double>{2.0e-9 * scale, 1.85e-7 + 0.75e-7 * scale};
+      });
 }
 
+/// Memory-bound scans: throughput stays flat as frequency drops.
 std::unique_ptr<os::System> loaded_host() {
-  auto host = std::make_unique<os::System>(simcpu::i3_2120());
-  for (int i = 0; i < 2; ++i) {
-    host->spawn("scan", std::make_unique<workloads::SteadyBehavior>(
-                            workloads::memory_stress(64e6, 1.0), 0));
-  }
-  host->run_for(util::ms_to_ns(10));
-  return host;
+  return benchx::loaded_host(2, workloads::memory_stress(64e6, 1.0));
 }
 
 /// One fleet monitoring tick across N hosts on the threaded dispatcher
@@ -70,7 +63,7 @@ void fleet_tick_bench(benchmark::State& state, bool governed) {
   options.workers = 4;
   options.fleet_aggregation = false;
   api::FleetMonitor fleet(options);
-  const model::CpuPowerModel model = tiny_model();
+  const model::CpuPowerModel model = governor_model();
   for (auto& host : hosts) {
     api::PipelineSpec spec;
     spec.model = model;
@@ -124,12 +117,22 @@ void fleet_tick_bench(benchmark::State& state, bool governed) {
 void BM_FleetTick_GovernorOff(benchmark::State& state) {
   fleet_tick_bench(state, false);
 }
-BENCHMARK(BM_FleetTick_GovernorOff)->Arg(1)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FleetTick_GovernorOff)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(32)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FleetTick_GovernorOn(benchmark::State& state) {
   fleet_tick_bench(state, true);
 }
-BENCHMARK(BM_FleetTick_GovernorOn)->Arg(1)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FleetTick_GovernorOn)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(32)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 /// The pure decision path: N synthetic hosts with fresh power samples each
 /// tick, shares computed and every step controller consulted. No
@@ -189,7 +192,7 @@ double joules_per_gigainstr(std::size_t host_count, double budget_per_host) {
   options.mode = actors::ActorSystem::Mode::kManual;
   options.fleet_aggregation = false;
   api::FleetMonitor fleet(options);
-  const model::CpuPowerModel model = tiny_model();
+  const model::CpuPowerModel model = governor_model();
   for (auto& host : hosts) {
     api::PipelineSpec spec;
     spec.model = model;

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <vector>
 
+#include "fixtures.h"
 #include "gbench_json.h"
 #include "model/power_model.h"
 #include "obs/observability.h"
@@ -24,29 +25,8 @@ using namespace powerapi;
 
 namespace {
 
-model::CpuPowerModel tiny_model() {
-  std::vector<model::FrequencyFormula> formulas;
-  for (const double hz : simcpu::i3_2120().frequencies_hz) {
-    model::FrequencyFormula f;
-    f.frequency_hz = hz;
-    f.events = {hpc::EventId::kInstructions, hpc::EventId::kCacheReferences,
-                hpc::EventId::kCacheMisses};
-    f.coefficients = {2.2e-9, 2.5e-8, 1.9e-7};
-    formulas.push_back(std::move(f));
-  }
-  return model::CpuPowerModel(31.48, std::move(formulas));
-}
-
-std::unique_ptr<os::System> loaded_host() {
-  auto host = std::make_unique<os::System>(simcpu::i3_2120());
-  for (int i = 0; i < 4; ++i) {
-    host->spawn("app", std::make_unique<workloads::SteadyBehavior>(
-                           workloads::mixed_stress(0.5, 4.0 * 1024 * 1024, 0.8),
-                           /*duration=*/0));
-  }
-  host->run_for(util::ms_to_ns(10));
-  return host;
-}
+using benchx::loaded_host;
+using benchx::tiny_model;
 
 enum class ObsState { kNone, kDisabled, kEnabled };
 
@@ -96,17 +76,17 @@ void fleet_tick_obs_bench(benchmark::State& state, ObsState obs_state) {
 void BM_FleetTick_NoObs(benchmark::State& state) {
   fleet_tick_obs_bench(state, ObsState::kNone);
 }
-BENCHMARK(BM_FleetTick_NoObs)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FleetTick_NoObs)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_FleetTick_ObsDisabled(benchmark::State& state) {
   fleet_tick_obs_bench(state, ObsState::kDisabled);
 }
-BENCHMARK(BM_FleetTick_ObsDisabled)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FleetTick_ObsDisabled)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_FleetTick_ObsEnabled(benchmark::State& state) {
   fleet_tick_obs_bench(state, ObsState::kEnabled);
 }
-BENCHMARK(BM_FleetTick_ObsEnabled)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FleetTick_ObsEnabled)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // --- Primitive costs ---
 

@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "fixtures.h"
 #include "gbench_json.h"
 #include "hpc/sim_backend.h"
 #include "model/power_model.h"
@@ -20,32 +21,10 @@ using namespace powerapi;
 
 namespace {
 
-model::CpuPowerModel tiny_model() {
-  std::vector<model::FrequencyFormula> formulas;
-  for (const double hz : simcpu::i3_2120().frequencies_hz) {
-    model::FrequencyFormula f;
-    f.frequency_hz = hz;
-    f.events = {hpc::EventId::kInstructions, hpc::EventId::kCacheReferences,
-                hpc::EventId::kCacheMisses};
-    f.coefficients = {2.2e-9, 2.5e-8, 1.9e-7};
-    formulas.push_back(std::move(f));
-  }
-  return model::CpuPowerModel(31.48, std::move(formulas));
-}
-
-std::unique_ptr<os::System> loaded_system(std::size_t processes) {
-  auto system = std::make_unique<os::System>(simcpu::i3_2120());
-  for (std::size_t i = 0; i < processes; ++i) {
-    system->spawn("app", std::make_unique<workloads::SteadyBehavior>(
-                             workloads::mixed_stress(0.5, 4.0 * 1024 * 1024, 0.8),
-                             /*duration=*/0));
-  }
-  system->run_for(util::ms_to_ns(10));
-  return system;
-}
+using benchx::tiny_model;
 
 void BM_BackendRead(benchmark::State& state) {
-  auto system = loaded_system(4);
+  auto system = benchx::loaded_host(4);
   hpc::SimBackend backend(*system);
   for (auto _ : state) {
     auto values = backend.read(hpc::Target::machine());
@@ -71,7 +50,7 @@ BENCHMARK(BM_ModelEvaluate);
 /// ticks so the measurement is dominated by the pipeline, not the simulator.
 void BM_PipelineTick(benchmark::State& state) {
   const auto processes = static_cast<std::size_t>(state.range(0));
-  auto system = loaded_system(processes);
+  auto system = benchx::loaded_host(processes);
   api::PowerMeter::Config config;
   config.period = util::ms_to_ns(1);
   config.with_powerspy = false;  // Meter off: measure the software pipeline.

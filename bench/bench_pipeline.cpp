@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "fixtures.h"
 #include "gbench_json.h"
 #include "model/model_registry.h"
 #include "model/power_model.h"
@@ -22,34 +23,13 @@ using namespace powerapi;
 
 namespace {
 
-model::CpuPowerModel tiny_model() {
-  std::vector<model::FrequencyFormula> formulas;
-  for (const double hz : simcpu::i3_2120().frequencies_hz) {
-    model::FrequencyFormula f;
-    f.frequency_hz = hz;
-    f.events = {hpc::EventId::kInstructions, hpc::EventId::kCacheReferences,
-                hpc::EventId::kCacheMisses};
-    f.coefficients = {2.2e-9, 2.5e-8, 1.9e-7};
-    formulas.push_back(std::move(f));
-  }
-  return model::CpuPowerModel(31.48, std::move(formulas));
-}
-
-std::unique_ptr<os::System> loaded_host() {
-  auto host = std::make_unique<os::System>(simcpu::i3_2120());
-  for (int i = 0; i < 4; ++i) {
-    host->spawn("app", std::make_unique<workloads::SteadyBehavior>(
-                           workloads::mixed_stress(0.5, 4.0 * 1024 * 1024, 0.8),
-                           /*duration=*/0));
-  }
-  host->run_for(util::ms_to_ns(10));
-  return host;
-}
+using benchx::loaded_host;
+using benchx::tiny_model;
 
 /// One fleet monitoring tick: every host advances one period and its whole
 /// pipeline drains. Wall power off so the software pipeline dominates.
 /// `shared_registry` switches between per-host model copies (one private
-/// ModelRegistry each) and one fleet-wide registry every RegressionFormula
+/// ModelRegistry each) and one fleet-wide registry every regression formula
 /// reads through; the "model_bytes" counter makes the footprint difference
 /// measurable at 32 hosts.
 void fleet_tick_bench(benchmark::State& state, actors::ActorSystem::Mode mode,
@@ -90,11 +70,14 @@ void fleet_tick_bench(benchmark::State& state, actors::ActorSystem::Mode mode,
 void BM_FleetTick_Threaded(benchmark::State& state) {
   fleet_tick_bench(state, actors::ActorSystem::Mode::kThreaded);
 }
+// Threaded fixtures run on the dispatcher's workers while the main thread
+// waits: their rates are wall-clock (UseRealTime), never main-thread CPU.
 BENCHMARK(BM_FleetTick_Threaded)
     ->Arg(1)
     ->Arg(8)
     ->Arg(32)
     ->Arg(128)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 void BM_FleetTick_Manual(benchmark::State& state) {
@@ -114,6 +97,7 @@ void BM_FleetTick_Threaded_SharedModel(benchmark::State& state) {
 BENCHMARK(BM_FleetTick_Threaded_SharedModel)
     ->Arg(8)
     ->Arg(32)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

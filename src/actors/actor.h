@@ -2,6 +2,8 @@
 //
 // The paper's architecture (Figure 2) is a pipeline of actor components —
 // Sensor, Formula, Aggregator, Reporter — processing messages event-driven.
+// Within one host that pipeline runs as a straight-line stage chain (see
+// powerapi/stage_chain.h); actors carry what crosses hosts and threads.
 // This base class provides the single-threaded receive guarantee, lifecycle
 // hooks and a per-actor supervision directive applied by the system when
 // receive throws.

@@ -160,8 +160,23 @@ void ActorSystem::tell(const ActorRef& target, Payload payload, ActorRef sender)
     cell->mailbox.push(std::move(envelope));
     // Publish the drain hint after the push so a drain round that observes
     // the hint also observes the message (push's size increment is seq_cst).
-    cell->has_mail.store(true, std::memory_order_release);
+    raise_mail_hint(*cell);
   }
+}
+
+void ActorSystem::raise_mail_hint(Cell& cell) {
+  if (!cell.has_mail.exchange(true, std::memory_order_acq_rel)) {
+    hinted_cells_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void ActorSystem::clear_mail_hint(Cell& cell) {
+  // Clear-then-recheck: if a concurrent tell lands between the empty()
+  // observation and the clear, the recheck re-arms the hint, so no message
+  // is stranded behind a cleared flag.
+  cell.has_mail.store(false, std::memory_order_relaxed);
+  hinted_cells_.fetch_sub(1, std::memory_order_relaxed);
+  if (!cell.mailbox.empty()) raise_mail_hint(cell);
 }
 
 void ActorSystem::enqueue_cell(Cell& cell) {
@@ -257,21 +272,25 @@ std::size_t ActorSystem::drain(std::size_t max_messages) {
   std::size_t processed = 0;
   bool progressed = true;
   // Snapshot cells so spawn-during-drain is legal; the snapshot is cached
-  // across rounds and rebuilt only when a spawn bumps cells_version_, so
-  // the per-round cost is one relaxed load instead of a lock + allocation.
-  std::vector<Cell*> snapshot;
-  std::uint64_t snapshot_version = 0;  // cells_version_ starts at 1: first round always builds.
+  // across rounds and calls and rebuilt only when a spawn bumps
+  // cells_version_, so the per-round cost is one relaxed load instead of a
+  // lock + allocation. Spawns only append, so walking it by index stays
+  // valid even if a receive() drains (and rebuilds it) reentrantly.
+  std::vector<Cell*>& snapshot = drain_snapshot_;
   while (progressed && processed < max_messages) {
     progressed = false;
-    if (cells_version_.load(std::memory_order_acquire) != snapshot_version) {
+    if (cells_version_.load(std::memory_order_acquire) != drain_snapshot_version_) {
       std::lock_guard lock(cells_mutex_);
       snapshot.clear();
-      snapshot.reserve(cells_.size());
       for (const auto& cell : cells_) snapshot.push_back(cell.get());
-      snapshot_version = cells_version_.load(std::memory_order_relaxed);
+      drain_snapshot_version_ = cells_version_.load(std::memory_order_relaxed);
     }
-    for (Cell* cell : snapshot) {
+    for (std::size_t visit = 0; visit < snapshot.size(); ++visit) {
+      Cell* cell = snapshot[visit];
       if (processed >= max_messages) break;
+      // Quiescent: no cell holds a hint, so the rest of this pass (and any
+      // further pass) would find nothing to process.
+      if (hinted_cells_.load(std::memory_order_acquire) == 0) break;
       // Idle skip: most visits in a steady tick hit an empty mailbox, and
       // the hint turns each of those into a single relaxed-ish load. The
       // visit order over non-idle cells is unchanged, so kManual message
@@ -279,8 +298,7 @@ std::size_t ActorSystem::drain(std::size_t max_messages) {
       if (!cell->has_mail.load(std::memory_order_acquire)) continue;
       if (cell->stopped.load(std::memory_order_acquire)) {
         drain_dead_letters(*cell);
-        cell->has_mail.store(false, std::memory_order_relaxed);
-        if (!cell->mailbox.empty()) cell->has_mail.store(true, std::memory_order_relaxed);
+        clear_mail_hint(*cell);
         continue;
       }
       // One message per visit, processed in place (no move out of the node).
@@ -295,13 +313,7 @@ std::size_t ActorSystem::drain(std::size_t max_messages) {
         ++processed;
         progressed = true;
       }
-      if (cell->mailbox.empty()) {
-        // Clear-then-recheck: if a concurrent tell lands between the empty()
-        // observation and the clear, the recheck re-arms the hint, so no
-        // message is stranded behind a cleared flag.
-        cell->has_mail.store(false, std::memory_order_relaxed);
-        if (!cell->mailbox.empty()) cell->has_mail.store(true, std::memory_order_relaxed);
-      }
+      if (cell->mailbox.empty()) clear_mail_hint(*cell);
     }
   }
   if (processed != 0) messages_processed_.fetch_add(processed, std::memory_order_relaxed);

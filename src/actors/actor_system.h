@@ -148,6 +148,9 @@ class ActorSystem {
   void worker_loop(std::size_t index);
   void handle_failure(Cell& cell, const std::exception& error);
   void fold_processed(std::uint64_t handled);
+  /// Manual-mode drain hints, counted so drain() can stop at quiescence.
+  void raise_mail_hint(Cell& cell);
+  void clear_mail_hint(Cell& cell);
 
   Mode mode_;
   // Observability handles, interned once at construction; null when the
@@ -160,6 +163,9 @@ class ActorSystem {
   mutable std::mutex cells_mutex_;  ///< Guards spawns/chunk growth, not lookups.
   std::vector<std::unique_ptr<Cell>> cells_;
   std::atomic<std::uint64_t> cells_version_{1};  ///< Bumped per spawn; lets drain() cache its snapshot.
+  std::vector<Cell*> drain_snapshot_;            ///< drain()'s cached cell list (manual mode).
+  std::atomic<std::int64_t> hinted_cells_{0};    ///< Cells whose has_mail hint is set.
+  std::uint64_t drain_snapshot_version_ = 0;     ///< cells_version_ the snapshot reflects.
   std::array<std::atomic<SlotChunk*>, kMaxChunks> chunks_{};
   std::atomic<ActorId> next_id_{1};
   // Hot counters on separate cache lines: producers hammer pending_ while

@@ -8,10 +8,9 @@
 // structs. row() gathers a classic FeatureVector for consumers that take
 // single samples (calibration, baseline estimators).
 //
-// A FeatureMatrix is published as a shared_ptr<const ...> in one
-// api::SensorBatch message and must stay immutable once published — the
-// sensor allocates a fresh matrix per tick rather than reusing a buffer,
-// because coalesced catch-up ticks can queue several batches at once.
+// The HPC sensor reuses one FeatureMatrix per host across ticks: its
+// consumers (formulas, calibration) are the next stages of the same
+// straight-line chain, so no reader outlives the tick that filled it.
 #pragma once
 
 #include <cstddef>

@@ -2,9 +2,9 @@
 //
 // The learn→deploy loop needs two things the old "every formula owns a
 // CpuPowerModel copy" design could not give: (1) one immutable model shared
-// by every consumer (a fleet's 32 RegressionFormulas reference one snapshot
+// by every consumer (a fleet's 32 regression formulas reference one snapshot
 // instead of 32 copies), and (2) atomic replacement while the pipeline is
-// running (the CalibrationActor publishes a refit without stopping a tick).
+// running (the calibration stage publishes a refit without stopping a tick).
 //
 // Snapshots are immutable `shared_ptr<const Snapshot>` swapped atomically;
 // readers pin whichever snapshot they loaded for the duration of one

@@ -1,143 +1,118 @@
 #include "powerapi/aggregators.h"
 
-#include <any>
+#include <algorithm>
 
 namespace powerapi::api {
 
-Aggregator::Aggregator(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                       AggregationDimension dimension, GroupResolver group_of,
+Aggregator::Aggregator(AggregationDimension dimension, GroupResolver group_of, Sink sink,
                        obs::Observability* obs)
-    : bus_(&bus),
-      out_topic_(out_topic),
-      dimension_(dimension),
-      group_of_(std::move(group_of)) {
+    : dimension_(dimension), group_of_(std::move(group_of)), sink_(std::move(sink)) {
   stage_.attach(obs, "pipeline.aggregated_rows");
   if (obs != nullptr) {
     tick_to_aggregate_ = &obs->metrics.histogram("pipeline.tick_to_aggregate_ns");
   }
 }
 
-void Aggregator::record_latency(std::int64_t tick_wall_ns) {
-  if (tick_to_aggregate_ == nullptr || tick_wall_ns == 0 || !stage_.active()) return;
-  tick_to_aggregate_->record(obs::wall_now_ns() - tick_wall_ns);
-}
-
-void Aggregator::emit_group_rows(const std::string& formula) {
-  auto& bucket = pending_groups_[formula];
-  for (const auto& [group, watts] : bucket.watts_by_group) {
-    AggregatedPower out;
-    out.timestamp = bucket.timestamp;
-    out.pid = kMachinePid;
-    out.group = group;
-    out.formula = formula;
-    out.watts = watts;
-    out.seq = bucket.seq;
-    bus_->publish(out_topic_, std::move(out), self());
-    stage_.count();
+Aggregator::FormulaId Aggregator::intern(std::string_view formula) {
+  for (FormulaId id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].name == formula) return id;
   }
-  record_latency(bucket.tick_wall_ns);
-  bucket.watts_by_group.clear();
+  slots_.push_back(Slot{std::string(formula)});
+  return static_cast<FormulaId>(slots_.size() - 1);
 }
 
-void Aggregator::absorb(const std::string& formula, util::TimestampNs timestamp,
-                        std::int64_t pid, double watts, std::uint64_t seq,
-                        std::int64_t tick_wall_ns) {
+void Aggregator::emit_row(AggregatedPower&& row) {
+  sink_(std::move(row));
+  stage_.count();
+}
+
+void Aggregator::emit(Slot& slot) {
   if (dimension_ == AggregationDimension::kGroup) {
-    auto& bucket = pending_groups_[formula];
-    if (!bucket.watts_by_group.empty() && timestamp > bucket.timestamp) {
-      emit_group_rows(formula);
+    for (GroupSum& sum : slot.groups) {
+      if (!sum.live) continue;
+      emit_row({slot.timestamp, kMachinePid, sum.label, slot.name, sum.watts, slot.seq,
+                slot.model_version});
+      sum.watts = 0.0;
+      sum.live = false;
     }
-    bucket.timestamp = timestamp;
-    bucket.seq = seq;
-    bucket.tick_wall_ns = tick_wall_ns;
-    std::string group;
-    if (pid == kMachinePid) {
-      group = "(machine)";
-    } else if (group_of_) {
-      group = group_of_(pid);
-    }
-    bucket.watts_by_group[group] += watts;
-    return;
+  } else {
+    // Prefer the machine-scope estimate when the formula produced one (it
+    // includes the idle floor); otherwise sum the per-process estimates.
+    emit_row({slot.timestamp, kMachinePid, {}, slot.name,
+              slot.has_machine_row ? slot.machine_watts : slot.sum_watts, slot.seq,
+              slot.model_version});
   }
+  slot.pending = false;
+  if (tick_to_aggregate_ != nullptr && slot.tick_wall_ns != 0 && stage_.active()) {
+    tick_to_aggregate_->record(obs::wall_now_ns() - slot.tick_wall_ns);
+  }
+}
 
+Aggregator::GroupSum& Aggregator::group_sum(Slot& slot, std::int64_t pid) {
+  std::string label;
+  if (pid == kMachinePid) {
+    label = "(machine)";
+  } else if (group_of_) {
+    label = group_of_(pid);
+  }
+  const auto it = std::lower_bound(
+      slot.groups.begin(), slot.groups.end(), label,
+      [](const GroupSum& sum, const std::string& key) { return sum.label < key; });
+  if (it != slot.groups.end() && it->label == label) return *it;
+  return *slot.groups.insert(it, GroupSum{std::move(label)});
+}
+
+void Aggregator::absorb(FormulaId formula, util::TimestampNs timestamp, std::int64_t pid,
+                        double watts, std::uint64_t seq, std::int64_t tick_wall_ns,
+                        std::uint64_t model_version) {
+  Slot& slot = slots_[formula];
   if (dimension_ == AggregationDimension::kPid) {
     // Per-PID view: forward every row unchanged.
-    AggregatedPower out;
-    out.timestamp = timestamp;
-    out.pid = pid;
-    out.formula = formula;
-    out.watts = watts;
-    out.seq = seq;
-    bus_->publish(out_topic_, std::move(out), self());
-    stage_.count();
-    record_latency(tick_wall_ns);
-    return;
-  }
-
-  auto it = pending_.find(formula);
-  if (it != pending_.end() && timestamp > it->second.timestamp) {
-    emit(formula, it->second);
-    pending_.erase(it);
-    it = pending_.end();
-  }
-  if (it == pending_.end()) {
-    Group group;
-    group.timestamp = timestamp;
-    group.seq = seq;
-    group.tick_wall_ns = tick_wall_ns;
-    it = pending_.emplace(formula, group).first;
-  }
-  Group& group = it->second;
-  if (pid == kMachinePid) {
-    group.has_machine_row = true;
-    group.machine_watts = watts;
-  } else {
-    group.sum_watts += watts;
-  }
-}
-
-void Aggregator::emit(const std::string& formula, const Group& group) {
-  AggregatedPower out;
-  out.timestamp = group.timestamp;
-  out.pid = kMachinePid;
-  out.formula = formula;
-  // Prefer the machine-scope estimate when the formula produced one (it
-  // includes the idle floor); otherwise sum the per-process estimates.
-  out.watts = group.has_machine_row ? group.machine_watts : group.sum_watts;
-  out.seq = group.seq;
-  bus_->publish(out_topic_, std::move(out), self());
-  stage_.count();
-  record_latency(group.tick_wall_ns);
-}
-
-void Aggregator::receive(actors::Envelope& envelope) {
-  // SoA hot path: one EstimateBatch carries a whole tick's rows; absorbing
-  // them front to back reproduces the scalar per-estimate message order.
-  if (const auto* batch = envelope.payload.get<EstimateBatch>()) {
-    if (!batch->features) return;
-    const auto span = stage_.span(name(), batch->seq);
-    const std::size_t rows = batch->features->rows();
-    for (std::size_t i = 0; i < rows && i < batch->watts.size(); ++i) {
-      absorb(batch->formula, batch->timestamp, batch->features->pid(i),
-             batch->watts[i], batch->seq, batch->tick_wall_ns);
+    emit_row({timestamp, pid, {}, slot.name, watts, seq, model_version});
+    if (tick_to_aggregate_ != nullptr && tick_wall_ns != 0 && stage_.active()) {
+      tick_to_aggregate_->record(obs::wall_now_ns() - tick_wall_ns);
     }
     return;
   }
-
-  const auto* estimate = envelope.payload.get<PowerEstimate>();
-  if (estimate == nullptr) return;
-  const auto span = stage_.span(name(), estimate->seq);
-  absorb(estimate->formula, estimate->timestamp, estimate->pid, estimate->watts,
-         estimate->seq, estimate->tick_wall_ns);
+  if (slot.pending && timestamp > slot.timestamp) emit(slot);
+  if (dimension_ == AggregationDimension::kGroup) {
+    // A group bucket takes the latest row's stamps.
+    slot.pending = true;
+    slot.timestamp = timestamp;
+    slot.seq = seq;
+    slot.tick_wall_ns = tick_wall_ns;
+    slot.model_version = model_version;
+    GroupSum& sum = group_sum(slot, pid);
+    sum.watts += watts;
+    sum.live = true;
+    return;
+  }
+  if (!slot.pending) {
+    slot.pending = true;
+    slot.timestamp = timestamp;
+    slot.seq = seq;
+    slot.tick_wall_ns = tick_wall_ns;
+    slot.model_version = model_version;
+    slot.sum_watts = 0.0;
+    slot.has_machine_row = false;
+    slot.machine_watts = 0.0;
+  }
+  if (pid == kMachinePid) {
+    slot.has_machine_row = true;
+    slot.machine_watts = watts;
+  } else {
+    slot.sum_watts += watts;
+  }
 }
 
-void Aggregator::post_stop() {
-  for (const auto& [formula, group] : pending_) emit(formula, group);
-  pending_.clear();
-  for (auto& [formula, bucket] : pending_groups_) {
-    if (!bucket.watts_by_group.empty()) emit_group_rows(formula);
+void Aggregator::flush() {
+  std::vector<Slot*> by_name;
+  for (Slot& slot : slots_) by_name.push_back(&slot);
+  std::sort(by_name.begin(), by_name.end(),
+            [](const Slot* a, const Slot* b) { return a->name < b->name; });
+  for (Slot* slot : by_name) {
+    if (slot->pending) emit(*slot);
   }
-  pending_groups_.clear();
 }
 
 void FleetAggregator::receive(actors::Envelope& envelope) {

@@ -1,5 +1,6 @@
-// Aggregator actor: groups PowerEstimates along a dimension (the paper
-// names PID and timestamp) before they reach reporters.
+// Aggregation: the last stage of a host's chain groups estimates along a
+// dimension (the paper names PID and timestamp) before they reach
+// reporters; FleetAggregator sums hosts into the fleet dimension.
 #pragma once
 
 #include <cstdint>
@@ -7,7 +8,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "actors/actor.h"
 #include "actors/event_bus.h"
@@ -22,58 +25,62 @@ enum class AggregationDimension {
   kGroup,      ///< Sum per process group — the cgroup/VM view.
 };
 
-class Aggregator final : public actors::Actor {
+/// A host's aggregation stage. Formulas are interned to small ids once, at
+/// build time; pending groups live in a vector indexed by that id, so a
+/// steady tick allocates nothing here. Rows leave through the sink (the
+/// pipeline publishes them on its "power:aggregated" topic).
+class Aggregator {
  public:
+  using FormulaId = std::uint32_t;
   /// Resolves a pid to its group label (kGroup dimension only); processes
   /// whose resolver returns "" aggregate under the empty group.
   using GroupResolver = std::function<std::string(std::int64_t pid)>;
+  using Sink = std::function<void(AggregatedPower&&)>;
 
-  Aggregator(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-             AggregationDimension dimension)
-      : Aggregator(bus, out_topic, dimension, GroupResolver{}) {}
-  Aggregator(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-             AggregationDimension dimension, GroupResolver group_of,
+  Aggregator(AggregationDimension dimension, GroupResolver group_of, Sink sink,
              obs::Observability* obs = nullptr);
 
-  void receive(actors::Envelope& envelope) override;
+  /// The id of `formula`; equal names share one id (and so one group).
+  FormulaId intern(std::string_view formula);
 
-  /// Flushes any pending timestamp groups (call at end of monitoring).
-  void post_stop() override;
+  /// One estimate row entering the dimension logic. A formula's group is
+  /// emitted when a row with a newer timestamp arrives (a tick's rows always
+  /// precede the next tick's).
+  void absorb(FormulaId formula, util::TimestampNs timestamp, std::int64_t pid, double watts,
+              std::uint64_t seq, std::int64_t tick_wall_ns, std::uint64_t model_version = 0);
+
+  /// Emits every pending group, formulas in name order (end of monitoring).
+  void flush();
 
  private:
-  struct Group {
+  struct GroupSum {
+    std::string label;
+    double watts = 0.0;
+    bool live = false;
+  };
+  struct Slot {
+    std::string name;
+    bool pending = false;
     util::TimestampNs timestamp = 0;
+    std::uint64_t seq = 0;           ///< Tick seq of the grouped estimates.
+    std::int64_t tick_wall_ns = 0;   ///< Wall time the tick was published.
+    std::uint64_t model_version = 0;
+    // kTimestamp: the formula's sum under construction.
     double sum_watts = 0.0;
     bool has_machine_row = false;
     double machine_watts = 0.0;
-    std::uint64_t seq = 0;           ///< Tick seq of the grouped estimates.
-    std::int64_t tick_wall_ns = 0;   ///< Wall time the tick was published.
+    // kGroup: per-label sums, sorted by label (the emission order).
+    std::vector<GroupSum> groups;
   };
 
-  void emit(const std::string& formula, const Group& group);
-  void emit_group_rows(const std::string& formula);
-  /// One estimate row entering the dimension logic — shared by the scalar
-  /// PowerEstimate path and the row loop of an EstimateBatch (which absorbs
-  /// rows front to back, reproducing the scalar message order exactly).
-  void absorb(const std::string& formula, util::TimestampNs timestamp, std::int64_t pid,
-              double watts, std::uint64_t seq, std::int64_t tick_wall_ns);
-  void record_latency(std::int64_t tick_wall_ns);
+  void emit(Slot& slot);
+  void emit_row(AggregatedPower&& row);
+  GroupSum& group_sum(Slot& slot, std::int64_t pid);
 
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;  ///< The namespace's "power:aggregated".
   AggregationDimension dimension_;
   GroupResolver group_of_;
-  /// Per-formula group under construction; emitted when a newer timestamp
-  /// arrives (estimates for one tick always precede the next tick's).
-  std::map<std::string, Group> pending_;
-  /// kGroup dimension: per-formula watermark + per-group-label sums.
-  struct GroupBucket {
-    util::TimestampNs timestamp = 0;
-    std::map<std::string, double> watts_by_group;
-    std::uint64_t seq = 0;
-    std::int64_t tick_wall_ns = 0;
-  };
-  std::map<std::string, GroupBucket> pending_groups_;
+  Sink sink_;
+  std::vector<Slot> slots_;  ///< Indexed by FormulaId.
   StageObs stage_;
   /// End-to-end pipeline latency: tick publish → aggregated row emit.
   obs::Histogram* tick_to_aggregate_ = nullptr;

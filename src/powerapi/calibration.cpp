@@ -8,85 +8,26 @@
 
 namespace powerapi::api {
 
-namespace {
-/// Unmatched pending pairs older than this many entries are abandoned (a
-/// dropped meter sample leaves a feature report forever half-paired).
-constexpr std::size_t kMaxPending = 64;
-}  // namespace
-
-CalibrationActor::CalibrationActor(actors::EventBus& bus,
-                                   actors::EventBus::TopicId out_topic,
-                                   std::shared_ptr<model::ModelRegistry> registry,
-                                   CalibrationOptions options)
-    : bus_(&bus),
-      out_topic_(out_topic),
-      registry_(std::move(registry)),
-      options_(std::move(options)) {
-  if (!registry_) throw std::invalid_argument("CalibrationActor: null registry");
+Calibrator::Calibrator(std::shared_ptr<model::ModelRegistry> registry,
+                       CalibrationOptions options)
+    : registry_(std::move(registry)), options_(std::move(options)) {
+  if (!registry_) throw std::invalid_argument("Calibrator: null registry");
   if (options_.events.empty()) {
     options_.events.assign(hpc::paper_events().begin(), hpc::paper_events().end());
   }
   if (options_.drift_window == 0) {
-    throw std::invalid_argument("CalibrationActor: zero drift window");
+    throw std::invalid_argument("Calibrator: zero drift window");
   }
   if (options_.min_samples_per_fit < options_.events.size() + 2) {
     // Below this the fit is under-determined by construction; raise the gate.
     options_.min_samples_per_fit = options_.events.size() + 2;
   }
+  row_.resize(options_.events.size());
 }
 
-void CalibrationActor::receive(actors::Envelope& envelope) {
-  // SoA hot path: the HPC sensor publishes one SensorBatch per tick; only
-  // its machine row matters for calibration, gathered back into the scalar
-  // feature struct the accumulators take.
-  if (const auto* batch = envelope.payload.get<SensorBatch>()) {
-    if (batch->sensor != SensorKind::kHpc || !batch->features) return;
-    for (std::size_t i = 0; i < batch->features->rows(); ++i) {
-      if (batch->features->pid(i) >= 0) continue;
-      Pending& entry = pending_[batch->timestamp];
-      entry.features = batch->features->row(i);
-      complete_if_paired(batch->timestamp, entry);
-      break;
-    }
-    while (pending_.size() > kMaxPending) pending_.erase(pending_.begin());
-    return;
-  }
-
-  const auto* report = envelope.payload.get<SensorReport>();
-  if (report == nullptr || report->pid != kMachinePid) return;
-
-  Pending* entry = nullptr;
-  switch (report->sensor) {
-    case SensorKind::kHpc:
-      entry = &pending_[report->timestamp];
-      entry->features = *report;  // Slices to the feature layer: exactly what we keep.
-      break;
-    case SensorKind::kPowerSpy:
-    case SensorKind::kRapl:
-      entry = &pending_[report->timestamp];
-      entry->measured_watts = report->measured_watts;
-      break;
-    default:
-      return;
-  }
-
-  complete_if_paired(report->timestamp, *entry);
-  while (pending_.size() > kMaxPending) pending_.erase(pending_.begin());
-}
-
-void CalibrationActor::complete_if_paired(util::TimestampNs timestamp, Pending& entry) {
-  if (!entry.features || !entry.measured_watts) return;
-  const model::FeatureVector features = *entry.features;
-  const double watts = *entry.measured_watts;
-  // Everything at or before a completed pair is done: sensors publish per
-  // tick, and ticks drain in order in both dispatcher modes.
-  pending_.erase(pending_.begin(), pending_.upper_bound(timestamp));
-  on_pair(timestamp, features, watts);
-}
-
-void CalibrationActor::on_pair(util::TimestampNs timestamp,
-                               const model::FeatureVector& features,
-                               double measured_watts) {
+std::optional<ModelUpdated> Calibrator::observe(util::TimestampNs timestamp,
+                                                const model::FeatureVector& features,
+                                                double measured_watts) {
   const auto snapshot = registry_->current();
 
   // Rolling drift: how far is the deployed model from the meter right now?
@@ -108,36 +49,37 @@ void CalibrationActor::on_pair(util::TimestampNs timestamp,
   if (inserted && options_.forgetting != 1.0) {
     it->second.accumulator.set_forgetting(options_.forgetting);
   }
-  std::vector<double> row(options_.events.size());
   for (std::size_t c = 0; c < options_.events.size(); ++c) {
-    row[c] = model::rate_of(features.rates, options_.events[c]);
+    row_[c] = model::rate_of(features.rates, options_.events[c]);
   }
-  it->second.accumulator.add(row, measured_watts - snapshot->model.idle_watts());
+  it->second.accumulator.add(row_, measured_watts - snapshot->model.idle_watts());
   ++paired_samples_;
 
   // Drift trigger: rolling window full and beyond threshold, with the
   // refit-interval floor respected.
-  if (drift_errors_.size() < options_.drift_window) return;
+  if (drift_errors_.size() < options_.drift_window) return std::nullopt;
   if (drift_error_sum_ / static_cast<double>(drift_errors_.size()) <=
       options_.drift_threshold_watts) {
-    return;
+    return std::nullopt;
   }
-  if (last_refit_ && timestamp - *last_refit_ < options_.min_refit_interval) return;
-  refit(timestamp, features);
+  if (last_refit_ && timestamp - *last_refit_ < options_.min_refit_interval) {
+    return std::nullopt;
+  }
+  return refit(timestamp, features);
 }
 
-void CalibrationActor::refit(util::TimestampNs timestamp,
-                             const model::FeatureVector& latest) {
+std::optional<ModelUpdated> Calibrator::refit(util::TimestampNs timestamp,
+                                              const model::FeatureVector& latest) {
   // Warmup gate, applied to the regime that is actually drifting: the bin
   // the latest sample landed in must be ready, or the swap would not
   // address the error that triggered it.
   const auto latest_it = bins_.find(bin_key(latest.frequency_hz));
-  if (latest_it == bins_.end()) return;
+  if (latest_it == bins_.end()) return std::nullopt;
   const auto ready = [this](const Bin& bin) {
     return bin.accumulator.count() >= options_.min_samples_per_fit &&
            bin.accumulator.well_determined();
   };
-  if (!ready(latest_it->second)) return;
+  if (!ready(latest_it->second)) return std::nullopt;
 
   const auto snapshot = registry_->current();
   // Start from the deployed formulas; every ready bin replaces (or adds)
@@ -172,7 +114,7 @@ void CalibrationActor::refit(util::TimestampNs timestamp,
     }
     ++bins_refit;
   }
-  if (bins_refit == 0) return;
+  if (bins_refit == 0) return std::nullopt;
 
   const double pre_swap_error =
       drift_error_sum_ / static_cast<double>(drift_errors_.size());
@@ -194,7 +136,7 @@ void CalibrationActor::refit(util::TimestampNs timestamp,
   update.pre_swap_error_watts = pre_swap_error;
   update.samples_used = paired_samples_;
   update.bins_refit = bins_refit;
-  bus_->publish(out_topic_, update, self());
+  return update;
 }
 
 }  // namespace powerapi::api

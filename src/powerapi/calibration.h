@@ -2,19 +2,19 @@
 //
 // The offline Trainer (Figure 1) learns the per-frequency regression once,
 // against a hermetic stress sweep; counter-based models drift as the real
-// workload mix departs from that sweep. The CalibrationActor closes the
-// loop inside the running pipeline: it pairs the HPC sensor's machine-scope
-// feature vectors with the meter's ground-truth watts (PowerSpy or RAPL, on
-// the same tick timestamps), accumulates per-frequency streaming
-// regressions, and — when the rolling estimate-vs-ground-truth error drifts
-// beyond a threshold — refits and atomically swaps the ModelRegistry that
-// every RegressionFormula reads through. A warmup gate keeps an
-// under-determined fit from ever being swapped in.
+// workload mix departs from that sweep. The Calibrator closes the loop
+// inside the running pipeline: a stage of the host's chain, called right
+// after the formulas, it pairs the HPC sensor's machine-scope features with
+// the meter's ground-truth watts of the same tick (PowerSpy or RAPL),
+// accumulates per-frequency streaming regressions, and — when the rolling
+// estimate-vs-ground-truth error drifts beyond a threshold — refits and
+// atomically swaps the ModelRegistry the regression formula reads through.
+// A warmup gate keeps an under-determined fit from ever being swapped in.
 //
-//   sensor:hpc ──┐
-//                ├─→ CalibrationActor ──(registry.publish)──→ RegressionFormula
-//   sensor:powerspy ┘        │
-//                            └─→ "calibration:updated" (ModelUpdated)
+//   hpc features ──┐
+//                  ├─→ Calibrator ──(registry.publish)──→ regression formula
+//   meter watts ───┘       │                               (from the next tick)
+//                          └─→ "calibration:updated" (ModelUpdated)
 #pragma once
 
 #include <cstdint>
@@ -26,12 +26,10 @@
 #include <vector>
 
 #include "actors/actor.h"
-#include "actors/event_bus.h"
 #include "hpc/events.h"
 #include "mathx/incremental_ols.h"
 #include "model/feature_vector.h"
 #include "model/model_registry.h"
-#include "powerapi/messages.h"
 #include "util/units.h"
 
 namespace powerapi::api {
@@ -67,24 +65,21 @@ struct ModelUpdated {
   std::size_t bins_refit = 0;           ///< Frequency bins with new formulas.
 };
 
-/// Pairs feature reports with meter reports by tick timestamp, maintains
-/// one IncrementalOls per observed frequency bin, and swaps the registry on
-/// drift. Single actor: the streaming state needs no locks even on the
-/// threaded dispatcher, and timestamp-keyed pairing makes the result
-/// independent of hpc-vs-meter arrival order.
-class CalibrationActor final : public actors::Actor {
+/// Maintains one IncrementalOls per observed frequency bin from the paired
+/// (features, measured watts) samples of each tick, and swaps the registry
+/// on drift. The swap is an atomic publish, so the chain's formulas see it
+/// from their next pinned snapshot on.
+class Calibrator {
  public:
-  CalibrationActor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                   std::shared_ptr<model::ModelRegistry> registry,
-                   CalibrationOptions options);
+  Calibrator(std::shared_ptr<model::ModelRegistry> registry, CalibrationOptions options);
 
-  void receive(actors::Envelope& envelope) override;
+  /// Absorbs one tick's machine-scope features and ground-truth watts.
+  /// Returns the swap's ModelUpdated when this sample triggered one.
+  std::optional<ModelUpdated> observe(util::TimestampNs timestamp,
+                                      const model::FeatureVector& features,
+                                      double measured_watts);
 
  private:
-  struct Pending {
-    std::optional<model::FeatureVector> features;
-    std::optional<double> measured_watts;
-  };
   struct Bin {
     double frequency_hz = 0.0;
     mathx::IncrementalOls accumulator;
@@ -96,20 +91,14 @@ class CalibrationActor final : public actors::Actor {
     return static_cast<std::int64_t>(hz / 1e6 + 0.5);
   }
 
-  /// If the pending entry at `timestamp` now has both halves, erases every
-  /// pending entry at or before it and feeds the pair to on_pair.
-  void complete_if_paired(util::TimestampNs timestamp, Pending& entry);
-  void on_pair(util::TimestampNs timestamp, const model::FeatureVector& features,
-               double measured_watts);
-  void refit(util::TimestampNs timestamp, const model::FeatureVector& latest);
+  std::optional<ModelUpdated> refit(util::TimestampNs timestamp,
+                                    const model::FeatureVector& latest);
 
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   std::shared_ptr<model::ModelRegistry> registry_;
   CalibrationOptions options_;
 
-  std::map<util::TimestampNs, Pending> pending_;
   std::map<std::int64_t, Bin> bins_;
+  std::vector<double> row_;  ///< Per-sample regression row, reused.
   std::deque<double> drift_errors_;
   double drift_error_sum_ = 0.0;
   std::uint64_t paired_samples_ = 0;

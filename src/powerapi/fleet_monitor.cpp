@@ -1,8 +1,7 @@
 #include "powerapi/fleet_monitor.h"
 
 #include <algorithm>
-#include <any>
-#include <map>
+#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -10,36 +9,62 @@
 
 namespace powerapi::api {
 
+/// One threaded round: the step every host advances by, and the cursor
+/// the round drivers claim hosts from.
+struct FleetMonitor::Round {
+  std::vector<Pipeline*> pipelines;  ///< Host order.
+  util::DurationNs step = 0;
+  std::size_t max_claim = 1;         ///< Options.hosts_per_chunk, at least 1.
+  std::size_t drivers = 1;
+  std::atomic<std::size_t> next{0};  ///< First unclaimed host.
+
+  /// Guided self-scheduling: claims min(max_claim, ⌈remaining / 2·drivers⌉)
+  /// hosts; returns false once every host is claimed.
+  bool claim(std::size_t& begin, std::size_t& end) {
+    begin = next.load(std::memory_order_relaxed);
+    std::size_t count = 0;
+    do {
+      if (begin >= pipelines.size()) return false;
+      const std::size_t remaining = pipelines.size() - begin;
+      count = std::min(max_claim, (remaining + 2 * drivers - 1) / (2 * drivers));
+    } while (!next.compare_exchange_weak(begin, begin + count, std::memory_order_acq_rel,
+                                         std::memory_order_relaxed));
+    end = begin + count;
+    return true;
+  }
+};
+
 namespace {
 
-/// Advances a chunk of hosts and fires their due monitor ticks, in host
-/// order. The only writer of its hosts: the single-threaded receive
-/// guarantee makes host advancement race-free even on the work-stealing
-/// dispatcher, and one AdvanceHost per chunk (instead of per host) amortizes
-/// mailbox/steal overhead across hosts_per_chunk hosts.
-class ChunkAgent final : public actors::Actor {
- public:
-  struct HostSlot {
-    os::MonitorableHost* host = nullptr;
-    Pipeline* pipeline = nullptr;
-  };
+/// One host's part of a round, the same code in both dispatch modes.
+void step_host(Pipeline& pipeline, util::DurationNs step) {
+  pipeline.host().advance(step);
+  pipeline.run_due_ticks();
+}
 
-  explicit ChunkAgent(std::vector<HostSlot> slots) : slots_(std::move(slots)) {}
+}  // namespace
+
+/// Threaded mode: on every RunRound, claims hosts from the round's cursor
+/// until none are left. One driver per worker; a host is advanced by exactly
+/// one driver per round.
+class FleetMonitor::RoundDriver final : public actors::Actor {
+ public:
+  struct RunRound {};
+
+  explicit RoundDriver(Round* round) : round_(round) {}
 
   void receive(actors::Envelope& envelope) override {
-    const AdvanceHost* cmd = envelope.payload.get<AdvanceHost>();
-    if (cmd == nullptr) return;
-    for (const HostSlot& slot : slots_) {
-      slot.host->advance(cmd->duration);
-      slot.pipeline->publish_due_ticks();
+    if (envelope.payload.get<RunRound>() == nullptr) return;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    while (round_->claim(begin, end)) {
+      for (std::size_t i = begin; i < end; ++i) step_host(*round_->pipelines[i], round_->step);
     }
   }
 
  private:
-  std::vector<HostSlot> slots_;
+  Round* round_;
 };
-
-}  // namespace
 
 FleetMonitor::FleetMonitor(Options options)
     : options_(options),
@@ -154,31 +179,39 @@ void FleetMonitor::settle() {
   }
 }
 
-void FleetMonitor::ensure_chunk_agents() {
-  if (chunked_hosts_ == entries_.size()) return;
-  // Host count changed since the last build: retire the old generation and
-  // spawn fresh agents over the new host set (the generation counter keeps
-  // actor names unique across rebuilds).
-  if (!chunk_agents_.empty()) {
-    for (const auto& agent : chunk_agents_) actors_.stop(agent);
-    chunk_agents_.clear();
-    settle();
-  }
-  ++chunk_generation_;
-  const std::size_t per_chunk = std::max<std::size_t>(options_.hosts_per_chunk, 1);
-  for (std::size_t begin = 0; begin < entries_.size(); begin += per_chunk) {
-    const std::size_t end = std::min(begin + per_chunk, entries_.size());
-    std::vector<ChunkAgent::HostSlot> slots;
-    slots.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      slots.push_back({entries_[i]->host, entries_[i]->pipeline.get()});
+void FleetMonitor::run_round(util::DurationNs step) {
+  // Pin every host's model first: a calibration swap during this round is
+  // seen by every host (shared registry or not) from the next round on.
+  for (const auto& entry : entries_) entry->pipeline->pin_model();
+  if (actors_.mode() == actors::ActorSystem::Mode::kManual) {
+    // Each host's rows reach its reporters before the next host runs, so
+    // mailboxes hold at most one host's output.
+    for (const auto& entry : entries_) {
+      step_host(*entry->pipeline, step);
+      actors_.drain();
     }
-    chunk_agents_.push_back(actors_.spawn_as<ChunkAgent>(
-        "chunk" + std::to_string(chunk_generation_) + "/" +
-            std::to_string(begin / per_chunk) + "/agent",
-        std::move(slots)));
+  } else {
+    if (round_ == nullptr) {
+      round_ = std::make_unique<Round>();
+      round_->drivers = std::max<std::size_t>(options_.workers, 1);
+      round_->max_claim = std::max<std::size_t>(options_.hosts_per_chunk, 1);
+      for (std::size_t i = 0; i < round_->drivers; ++i) {
+        round_drivers_.push_back(actors_.spawn_as<RoundDriver>(
+            "fleet/round-driver/" + std::to_string(i), round_.get()));
+      }
+    }
+    round_->pipelines.clear();
+    for (const auto& entry : entries_) round_->pipelines.push_back(entry->pipeline.get());
+    round_->step = step;
+    round_->next.store(0, std::memory_order_relaxed);
+    // A fleet smaller than the pool wakes only as many drivers as it has
+    // hosts: the others would find nothing to claim.
+    const std::size_t wake = std::min(round_drivers_.size(), entries_.size());
+    for (std::size_t i = 0; i < wake; ++i) {
+      actors_.tell(round_drivers_[i], actors::Payload(RoundDriver::RunRound{}));
+    }
   }
-  chunked_hosts_ = entries_.size();
+  settle();  // Barrier: every host advanced, every aggregated row delivered.
 }
 
 void FleetMonitor::run_for(util::DurationNs duration) {
@@ -190,20 +223,16 @@ void FleetMonitor::run_for(
     const std::function<void(util::DurationNs advanced_ns)>& on_chunk) {
   if (finished_) throw std::logic_error("FleetMonitor::run_for after finish()");
   if (entries_.empty() || duration <= 0) return;
-  ensure_chunk_agents();
-  // Chunk at the smallest monitoring period so no host's ticks coalesce
+  // Rounds of the smallest monitoring period, so no host's ticks coalesce
   // beyond what its own PowerMeter-equivalent run would produce.
-  util::DurationNs chunk = entries_.front()->pipeline->ticker().period();
+  util::DurationNs period = entries_.front()->pipeline->ticker().period();
   for (const auto& entry : entries_) {
-    chunk = std::min(chunk, entry->pipeline->ticker().period());
+    period = std::min(period, entry->pipeline->ticker().period());
   }
   util::DurationNs advanced = 0;
   while (advanced < duration) {
-    const util::DurationNs step = std::min(chunk, duration - advanced);
-    for (const auto& agent : chunk_agents_) {
-      actors_.tell(agent, actors::Payload(AdvanceHost{step}));
-    }
-    settle();  // Barrier: every host advanced, every pipeline drained.
+    const util::DurationNs step = std::min(period, duration - advanced);
+    run_round(step);
     advanced += step;
     if (on_chunk) {
       // The fleet is quiescent here: callbacks may actuate hosts or tell

@@ -1,16 +1,16 @@
 // FleetMonitor: one actor system monitoring N hosts concurrently.
 //
-// Each host gets its own pipeline under topic namespace "h<i>/". Hosts are
-// grouped into chunks of Options.hosts_per_chunk, each owned by one
-// ChunkAgent actor that advances its hosts' clocks and fires their monitor
-// ticks in host order. run_for() sends every chunk agent an AdvanceHost
-// command per time step and barriers on the actor system, so on the
-// threaded work-stealing dispatcher each steal advances a whole host-chunk
-// — amortizing dispatch overhead across hosts — while each host is only
-// ever touched by its own chunk's actor (no locks needed).
-// kManual mode runs the identical graph deterministically for tests; a
-// host's series is bit-for-bit the same as a standalone kManual PowerMeter
-// over an identically constructed host.
+// Each host gets its own pipeline under topic namespace "h<i>/". A round
+// advances every host by one step and runs each host's stage chain over the
+// ticks that fell due, then settles the actor system so every aggregated
+// row has reached its reporters. In kManual a round is a plain loop over
+// the hosts in host order; a host's series is bit-for-bit the same as a
+// standalone kManual PowerMeter over an identically constructed host. In
+// kThreaded one round-driver actor per worker claims hosts from a shared
+// cursor (guided self-scheduling: min(hosts_per_chunk, ⌈remaining / 2·
+// workers⌉) hosts per claim) and runs them; a host is touched by exactly
+// one driver per round, and its chain is the same straight-line code as in
+// kManual, so threaded per-host series equal manual by construction.
 //
 // The fleet dimension: a FleetAggregator subscribes to every host's
 // "h<i>/power:aggregated" topic and re-publishes per-formula machine-power
@@ -32,12 +32,6 @@
 
 namespace powerapi::api {
 
-/// Command to a HostAgent: advance your host by `duration`, then fire any
-/// monitor ticks that became due.
-struct AdvanceHost {
-  util::DurationNs duration = 0;
-};
-
 class FleetMonitor {
  public:
   struct Options {
@@ -49,9 +43,9 @@ class FleetMonitor {
     /// and the monitor's own CPU/power accounting, exportable via
     /// add_metrics_reporter() and write_chrome_trace().
     bool with_observability = false;
-    /// Hosts advanced per ChunkAgent (and so per dispatcher steal). Larger
-    /// chunks amortize per-message overhead; smaller chunks expose more
-    /// parallelism to threaded workers. 0 is clamped to 1.
+    /// Threaded mode: the most hosts a round driver claims at once (hosts
+    /// per dispatcher steal). Claims shrink toward the end of a round so a
+    /// late-waking worker cannot strand a whole chunk. 0 is clamped to 1.
     std::size_t hosts_per_chunk = 8;
   };
 
@@ -97,16 +91,16 @@ class FleetMonitor {
   /// (open in chrome://tracing or Perfetto). Requires with_observability.
   void write_chrome_trace(std::ostream& out) const;
 
-  /// Advances every host by `duration`, chunked at the smallest pipeline
-  /// period, firing due ticks per host per chunk. Hosts advance and their
-  /// pipelines run concurrently in threaded mode.
+  /// Advances every host by `duration` in rounds of the smallest pipeline
+  /// period, running due ticks per host per round. Hosts advance and their
+  /// chains run concurrently in threaded mode.
   void run_for(util::DurationNs duration);
 
-  /// Like run_for, but invokes `on_chunk(advanced_ns)` after every chunk has
+  /// Like run_for, but invokes `on_chunk(advanced_ns)` after every round has
   /// settled — the fleet is quiescent, so the callback may safely mutate
   /// hosts (the governor's actuation channel) or inject messages; anything
-  /// it sends is processed before the next chunk advances. Deterministic in
-  /// kManual: chunk boundaries depend only on pipeline periods.
+  /// it sends is processed before the next round advances. Deterministic in
+  /// kManual: round boundaries depend only on pipeline periods.
   void run_for(util::DurationNs duration,
                const std::function<void(util::DurationNs advanced_ns)>& on_chunk);
 
@@ -123,13 +117,13 @@ class FleetMonitor {
     os::MonitorableHost* host = nullptr;
     std::unique_ptr<Pipeline> pipeline;
   };
+  struct Round;
+  class RoundDriver;
 
   /// Blocks/drains until the system is quiescent (mode-appropriate).
   void settle();
-  /// (Re)builds the chunk agents lazily: called at run_for, and a no-op
-  /// unless the host count changed since the last build. A change stops the
-  /// old generation of agents and spawns a fresh one over the new host set.
-  void ensure_chunk_agents();
+  /// Advances every host by `step` and runs their due ticks (one round).
+  void run_round(util::DurationNs step);
 
   Options options_;
   /// Declared before actors_/bus_: both unregister from it on destruction.
@@ -140,9 +134,8 @@ class FleetMonitor {
   std::vector<std::unique_ptr<HostEntry>> entries_;
   std::shared_ptr<std::size_t> host_count_;  ///< Read by the FleetAggregator.
   actors::ActorRef fleet_aggregator_;
-  std::vector<actors::ActorRef> chunk_agents_;
-  std::size_t chunked_hosts_ = 0;      ///< Host count the agents were built for.
-  std::uint64_t chunk_generation_ = 0; ///< Keeps respawned agent names unique.
+  std::unique_ptr<Round> round_;  ///< Threaded mode: the round drivers' claim cursor.
+  std::vector<actors::ActorRef> round_drivers_;
   bool finished_ = false;
 };
 

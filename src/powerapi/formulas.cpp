@@ -1,189 +1,30 @@
 #include "powerapi/formulas.h"
 
-#include <any>
-
 namespace powerapi::api {
 
-namespace {
-
-const SensorReport* as_report(const actors::Envelope& envelope) {
-  return envelope.payload.get<SensorReport>();
-}
-
-constexpr std::string_view kEstimates = "pipeline.estimates";
-
-}  // namespace
-
-// --- RegressionFormula ---
-
-RegressionFormula::RegressionFormula(actors::EventBus& bus,
-                                     actors::EventBus::TopicId out_topic,
-                                     std::shared_ptr<const model::ModelRegistry> registry,
-                                     obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), registry_(std::move(registry)) {
-  stage_.attach(obs, kEstimates);
-}
-
-void RegressionFormula::receive(actors::Envelope& envelope) {
-  // SoA hot path: one SensorBatch → one EstimateBatch, evaluated as a
-  // coefficient sweep down the rate lanes.
-  if (const auto* batch = envelope.payload.get<SensorBatch>()) {
-    if (batch->sensor != SensorKind::kHpc || !batch->features) return;
-    const auto span = stage_.span(name(), batch->seq);
-    const auto snapshot = registry_->current();
-    const model::FeatureMatrix& features = *batch->features;
-
-    EstimateBatch out;
-    out.timestamp = batch->timestamp;
-    out.formula = "powerapi-hpc";
-    out.model_version = snapshot->version;
-    out.features = batch->features;
-    out.watts.assign(features.rows(), 0.0);
-    if (!snapshot->model.empty()) {
-      snapshot->model.estimate_activity_rows(features, out.watts);
-    }
-    // Machine rows carry the idle floor on top of activity, exactly as the
-    // scalar path adds it (idle + activity, in that order).
-    for (std::size_t i = 0; i < features.rows(); ++i) {
-      if (features.pid(i) < 0) out.watts[i] = snapshot->model.idle_watts() + out.watts[i];
-    }
-    out.seq = batch->seq;
-    out.tick_wall_ns = batch->tick_wall_ns;
-    const std::size_t rows = features.rows();
-    bus_->publish(out_topic_, std::move(out), self());
-    for (std::size_t i = 0; i < rows; ++i) stage_.count();
-    return;
+void estimate_regression_rows(const model::CpuPowerModel& model,
+                              const model::FeatureMatrix& features, std::vector<double>& watts) {
+  watts.assign(features.rows(), 0.0);
+  if (!model.empty()) model.estimate_activity_rows(features, watts);
+  // Machine rows carry the idle floor on top of activity (idle + activity,
+  // in that order).
+  for (std::size_t i = 0; i < features.rows(); ++i) {
+    if (features.pid(i) < 0) watts[i] = model.idle_watts() + watts[i];
   }
-
-  const SensorReport* report = as_report(envelope);
-  if (report == nullptr || report->sensor != SensorKind::kHpc) return;
-  const auto span = stage_.span(name(), report->seq);
-
-  // Pin one immutable snapshot for this report; a concurrent swap affects
-  // the next report, never a half-read model.
-  const auto snapshot = registry_->current();
-
-  PowerEstimate estimate;
-  estimate.timestamp = report->timestamp;
-  estimate.pid = report->pid;
-  estimate.formula = "powerapi-hpc";
-  estimate.model_version = snapshot->version;
-  // An empty model (cold-start calibration: nothing learned yet) estimates
-  // the idle floor only until the first swap fills in formulas.
-  const double activity =
-      snapshot->model.empty() ? 0.0 : snapshot->model.estimate_activity(*report);
-  estimate.watts =
-      report->pid == kMachinePid ? snapshot->model.idle_watts() + activity : activity;
-  estimate.seq = report->seq;
-  estimate.tick_wall_ns = report->tick_wall_ns;
-  bus_->publish(out_topic_, std::move(estimate), self());
-  stage_.count();
 }
 
-// --- EstimatorFormula ---
-
-EstimatorFormula::EstimatorFormula(
-    actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-    std::shared_ptr<const baselines::MachinePowerEstimator> estimator,
-    obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), estimator_(std::move(estimator)) {
-  stage_.attach(obs, kEstimates);
-}
-
-void EstimatorFormula::receive(actors::Envelope& envelope) {
-  // Batch path: baselines are machine models, so only the machine row of a
-  // batch produces an estimate — gathered back into the scalar feature
-  // struct the estimator interface takes.
-  if (const auto* batch = envelope.payload.get<SensorBatch>()) {
-    if (!batch->features) return;
-    const auto span = stage_.span(name(), batch->seq);
-    for (std::size_t i = 0; i < batch->features->rows(); ++i) {
-      if (batch->features->pid(i) >= 0) continue;
-      PowerEstimate estimate;
-      estimate.timestamp = batch->timestamp;
-      estimate.pid = kMachinePid;
-      estimate.formula = estimator_->name();
-      estimate.watts = estimator_->estimate(batch->features->row(i));
-      estimate.seq = batch->seq;
-      estimate.tick_wall_ns = batch->tick_wall_ns;
-      bus_->publish(out_topic_, std::move(estimate), self());
-      stage_.count();
-    }
-    return;
-  }
-
-  const SensorReport* report = as_report(envelope);
-  if (report == nullptr || report->pid != kMachinePid) return;
-  const auto span = stage_.span(name(), report->seq);
-
-  PowerEstimate estimate;
-  estimate.timestamp = report->timestamp;
-  estimate.pid = kMachinePid;
-  estimate.formula = estimator_->name();
-  // A report IS an Observation (the shared feature layer): no repacking.
-  estimate.watts = estimator_->estimate(*report);
-  estimate.seq = report->seq;
-  estimate.tick_wall_ns = report->tick_wall_ns;
-  bus_->publish(out_topic_, std::move(estimate), self());
-  stage_.count();
-}
-
-// --- IoFormula ---
-
-IoFormula::IoFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                     periph::DiskParams disk, periph::NicParams nic,
-                     obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), disk_(disk), nic_(nic) {
-  stage_.attach(obs, kEstimates);
-}
-
-void IoFormula::receive(actors::Envelope& envelope) {
-  const SensorReport* report = as_report(envelope);
-  if (report == nullptr || report->sensor != SensorKind::kIo) return;
-  const auto span = stage_.span(name(), report->seq);
-
+double io_datasheet_watts(const IoRates& rates, const periph::DiskParams& disk,
+                          const periph::NicParams& nic) {
   // Base power assumes the common steady states (platters spinning, link
   // awake); transition states (spin-up surges, LPI) are below this formula's
   // resolution — deliberately, as a datasheet model would be.
-  double watts = disk_.idle_spinning_watts + nic_.link_active_watts;
-  watts += report->disk_iops * disk_.joules_per_op;
-  watts += report->disk_bytes_per_sec / 1e6 * disk_.joules_per_megabyte;
+  double watts = disk.idle_spinning_watts + nic.link_active_watts;
+  watts += rates.disk_iops * disk.joules_per_op;
+  watts += rates.disk_bytes_per_sec / 1e6 * disk.joules_per_megabyte;
   // Without a tx/rx split in the counters, charge the average of the two.
-  watts += report->net_bytes_per_sec / 1e6 *
-           (nic_.joules_per_megabyte_tx + nic_.joules_per_megabyte_rx) / 2.0;
-
-  PowerEstimate estimate;
-  estimate.timestamp = report->timestamp;
-  estimate.pid = kMachinePid;
-  estimate.formula = "io-datasheet";
-  estimate.watts = watts;
-  estimate.seq = report->seq;
-  estimate.tick_wall_ns = report->tick_wall_ns;
-  bus_->publish(out_topic_, std::move(estimate), self());
-  stage_.count();
-}
-
-// --- MeterFormula ---
-
-MeterFormula::MeterFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                           std::string formula_name, obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), formula_name_(std::move(formula_name)) {
-  stage_.attach(obs, kEstimates);
-}
-
-void MeterFormula::receive(actors::Envelope& envelope) {
-  const SensorReport* report = as_report(envelope);
-  if (report == nullptr) return;
-  const auto span = stage_.span(name(), report->seq);
-  PowerEstimate estimate;
-  estimate.timestamp = report->timestamp;
-  estimate.pid = report->pid;
-  estimate.formula = formula_name_;
-  estimate.watts = report->measured_watts;
-  estimate.seq = report->seq;
-  estimate.tick_wall_ns = report->tick_wall_ns;
-  bus_->publish(out_topic_, std::move(estimate), self());
-  stage_.count();
+  watts += rates.net_bytes_per_sec / 1e6 *
+           (nic.joules_per_megabyte_tx + nic.joules_per_megabyte_rx) / 2.0;
+  return watts;
 }
 
 }  // namespace powerapi::api

@@ -1,101 +1,35 @@
-// Formula actors: turn SensorReports into PowerEstimates.
+// Formula stages: turn sensor readings into watts.
 //
-// Each formula publishes on the "power:estimate" topic of its pipeline's
-// namespace; the builder interns the topic and injects the id.
+// Formulas are plain functions a host's StageChain calls right after its
+// sensors (see stage_chain.h). Direct meters (PowerSpy, RAPL) need no
+// formula: their measured watts are the estimate, with the meter's scope.
 #pragma once
 
-#include <memory>
+#include <vector>
 
-#include "actors/actor.h"
-#include "actors/event_bus.h"
-#include "baselines/cpuload_model.h"
-#include "baselines/estimator.h"
-#include "model/model_registry.h"
+#include "model/feature_matrix.h"
 #include "model/power_model.h"
 #include "periph/disk.h"
 #include "periph/nic.h"
-#include "powerapi/messages.h"
-#include "powerapi/stage_obs.h"
+#include "powerapi/sensors.h"
 
 namespace powerapi::api {
 
-/// The paper's formula: per-frequency linear regression over HPC rates.
-/// Machine-scope reports get idle + activity; process reports get activity
-/// only (the paper attributes the idle floor to the machine, not to any
-/// process).
-///
-/// The formula does not own a model copy: it reads the registry's current
-/// snapshot per report, so a CalibrationActor refit (or any other
-/// registry.publish) takes effect on the very next estimate, and a fleet's
-/// formulas can all share one registry. Every estimate carries the snapshot
-/// version that produced it.
-class RegressionFormula final : public actors::Actor {
- public:
-  RegressionFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                    std::shared_ptr<const model::ModelRegistry> registry,
-                    obs::Observability* obs = nullptr);
-
-  void receive(actors::Envelope& envelope) override;
-
- private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
-  std::shared_ptr<const model::ModelRegistry> registry_;
-  StageObs stage_;
-};
-
-/// Adapter formula around any baseline MachinePowerEstimator (CPU-load,
-/// Bertran, HAPPY). Machine scope only — these models are machine models.
-class EstimatorFormula final : public actors::Actor {
- public:
-  EstimatorFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                   std::shared_ptr<const baselines::MachinePowerEstimator> estimator,
-                   obs::Observability* obs = nullptr);
-
-  void receive(actors::Envelope& envelope) override;
-
- private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
-  std::shared_ptr<const baselines::MachinePowerEstimator> estimator_;
-  StageObs stage_;
-};
+/// The paper's formula: per-frequency linear regression over HPC rates,
+/// evaluated as a coefficient sweep down the rate lanes. `watts[i]` belongs
+/// to `features.pid(i)`. Machine rows get idle + activity; process rows get
+/// activity only (the paper attributes the idle floor to the machine, not
+/// to any process). An empty model (cold-start calibration: nothing learned
+/// yet) estimates the idle floor only.
+void estimate_regression_rows(const model::CpuPowerModel& model,
+                              const model::FeatureMatrix& features, std::vector<double>& watts);
 
 /// Datasheet-based IO power formula: unlike CPU cores, disk and NIC power
 /// characteristics are published by their vendors, so the component model
 /// needs no regression — base power plus per-op and per-byte energies from
-/// the device parameters. Consumes SensorKind::kIo reports, emits
-/// machine-scope "io-datasheet" estimates of the peripheral power share.
-class IoFormula final : public actors::Actor {
- public:
-  IoFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-            periph::DiskParams disk, periph::NicParams nic,
-            obs::Observability* obs = nullptr);
-
-  void receive(actors::Envelope& envelope) override;
-
- private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
-  periph::DiskParams disk_;
-  periph::NicParams nic_;
-  StageObs stage_;
-};
-
-/// Pass-through formula for direct meters (RAPL): the measured watts ARE
-/// the estimate — with the meter's scope limitation (package, machine-wide).
-class MeterFormula final : public actors::Actor {
- public:
-  MeterFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-               std::string formula_name, obs::Observability* obs = nullptr);
-
-  void receive(actors::Envelope& envelope) override;
-
- private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
-  std::string formula_name_;
-  StageObs stage_;
-};
+/// the device parameters. Returns the machine-scope peripheral power share
+/// (the "io-datasheet" series).
+double io_datasheet_watts(const IoRates& rates, const periph::DiskParams& disk,
+                          const periph::NicParams& nic);
 
 }  // namespace powerapi::api

@@ -1,27 +1,26 @@
 // Message vocabulary of the PowerAPI pipeline (Figure 2).
 //
-// Topics (within one pipeline's namespace — see pipeline.h):
-//   "tick"              MonitorTick   → all sensors
-//   "sensor:hpc"        SensorReport  → formulas
-//   "sensor:cpu-load"   SensorReport  → CPU-load formula
-//   "sensor:powerspy"   SensorReport  → reporters wanting ground truth
-//   "sensor:rapl"       SensorReport  → RAPL formula
-//   "sensor:io"         SensorReport  → IO datasheet formula
-//   "power:estimate"    PowerEstimate → aggregators
-//   "power:aggregated"  AggregatedPower → reporters
+// Inside one host, sensors, formulas, calibration and the aggregator run as
+// one straight-line StageChain (stage_chain.h): nothing between them is a
+// message. What crosses the event bus are the chain's edges. Topics (within
+// one pipeline's namespace — see pipeline.h):
+//   "tick"                MonitorTick     → metrics reporter; published only
+//                                           while something subscribes
+//   "power:aggregated"    AggregatedPower → reporters, the fleet dimension,
+//                                           remote and governor relays
+//   "calibration:updated" ModelUpdated    → model-update callbacks; published
+//                                           only while something subscribes
 //
 // In a multi-host fleet each host's pipeline lives under a namespace prefix
-// ("h3/sensor:hpc"); the fleet dimension adds "fleet/power:aggregated".
+// ("h3/power:aggregated"); the fleet dimension adds "fleet/power:aggregated".
+// PowerEstimate is the per-formula record of the telemetry wire (see
+// net/wire.h); the in-process chain hands estimates to its aggregator as
+// plain calls.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <string_view>
-#include <vector>
 
-#include "model/feature_matrix.h"
-#include "model/feature_vector.h"
 #include "util/units.h"
 
 namespace powerapi::api {
@@ -29,78 +28,17 @@ namespace powerapi::api {
 /// Scope marker for machine-wide rows.
 inline constexpr std::int64_t kMachinePid = -1;
 
-/// Periodic monitoring tick, broadcast to sensors.
+/// Periodic monitoring tick: one pass of a host's stage chain.
 ///
 /// When the pipeline carries an observability bundle, each tick also gets a
 /// per-pipeline sequence number and the real (monitor wall clock) time it
-/// was published. Both flow through SensorReport and PowerEstimate so trace
+/// started. Both flow through every stage into AggregatedPower so trace
 /// spans and end-to-end latency can be correlated per tick; both stay 0
 /// when observability is off.
 struct MonitorTick {
   util::TimestampNs timestamp = 0;
   std::uint64_t seq = 0;
   std::int64_t wall_ns = 0;  ///< obs::wall_now_ns() at publish.
-};
-
-/// Which sensor produced a report. An enum rather than a string: reports are
-/// hot-path messages (one per target per tick), and an interned tag removes
-/// a heap allocation + string compare per hop.
-enum class SensorKind : std::uint8_t {
-  kHpc,
-  kCpuLoad,
-  kPowerSpy,
-  kRapl,
-  kIo,
-};
-
-constexpr std::string_view to_string(SensorKind kind) noexcept {
-  switch (kind) {
-    case SensorKind::kHpc: return "hpc";
-    case SensorKind::kCpuLoad: return "cpu-load";
-    case SensorKind::kPowerSpy: return "powerspy";
-    case SensorKind::kRapl: return "rapl";
-    case SensorKind::kIo: return "io";
-  }
-  return "?";
-}
-
-/// One sensor's observation of one target over the last window. Derives
-/// from the shared feature layer (frequency, event rates, utilization, SMT
-/// co-residency), so formulas and estimators consume the report directly —
-/// no field-by-field repacking between pipeline stages.
-struct SensorReport : model::FeatureVector {
-  util::TimestampNs timestamp = 0;
-  std::int64_t pid = kMachinePid;
-  SensorKind sensor = SensorKind::kHpc;
-  double window_seconds = 0.0;
-  double measured_watts = 0.0;    ///< Meter sensors only (powerspy, rapl).
-
-  // IO sensor fields (machine scope, "sensor:io"):
-  double disk_iops = 0.0;
-  double disk_bytes_per_sec = 0.0;
-  double net_bytes_per_sec = 0.0;
-
-  // Observability correlation (copied from the triggering MonitorTick).
-  std::uint64_t seq = 0;
-  std::int64_t tick_wall_ns = 0;
-};
-
-/// One sensor's observations for EVERY completed target of a tick, as a
-/// single lane-major matrix — the SoA hot-path replacement for a burst of
-/// per-target SensorReports. Row order is the scalar publish order (machine
-/// scope first, then the targets in monitoring order), so a consumer that
-/// walks rows front to back sees exactly the scalar message sequence. The
-/// matrix is immutable once published; the sensor allocates a fresh one per
-/// tick because coalesced catch-up ticks can leave several batches queued
-/// in mailboxes at once.
-struct SensorBatch {
-  util::TimestampNs timestamp = 0;
-  SensorKind sensor = SensorKind::kHpc;
-  std::shared_ptr<const model::FeatureMatrix> features;
-
-  // Observability correlation (copied from the triggering MonitorTick).
-  std::uint64_t seq = 0;
-  std::int64_t tick_wall_ns = 0;
 };
 
 /// A formula's power attribution for one target at one timestamp.
@@ -113,22 +51,7 @@ struct PowerEstimate {
   /// formulas that do not read a versioned model (meters, datasheets).
   std::uint64_t model_version = 0;
 
-  // Observability correlation (carried forward from the SensorReport).
-  std::uint64_t seq = 0;
-  std::int64_t tick_wall_ns = 0;
-};
-
-/// One formula's attributions for every row of a SensorBatch: watts[i]
-/// belongs to features->pid(i). The matrix rides along (shared, immutable)
-/// so downstream stages can reach pids and features without copying.
-struct EstimateBatch {
-  util::TimestampNs timestamp = 0;
-  std::string formula;
-  std::uint64_t model_version = 0;
-  std::shared_ptr<const model::FeatureMatrix> features;
-  std::vector<double> watts;  ///< Parallel to the matrix rows.
-
-  // Observability correlation.
+  // Observability correlation (carried forward from the tick).
   std::uint64_t seq = 0;
   std::int64_t tick_wall_ns = 0;
 };
@@ -144,6 +67,10 @@ struct AggregatedPower {
   /// Tick sequence id of the estimates this row aggregates (observability
   /// correlation; 0 when off).
   std::uint64_t seq = 0;
+  /// Registry version of the model that produced the aggregated estimates;
+  /// 0 for formulas that do not read a versioned model (meters, datasheets).
+  /// Process-local: the telemetry wire does not carry it.
+  std::uint64_t model_version = 0;
 };
 
 }  // namespace powerapi::api

@@ -1,18 +1,9 @@
 #include "powerapi/pipeline.h"
 
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "hpc/sim_backend.h"
-#include "periph/disk.h"
-#include "periph/nic.h"
-#include "powerapi/formulas.h"
 #include "powerapi/remote_reporter.h"
-#include "powerapi/sensors.h"
-#include "powermeter/powerspy.h"
-#include "powermeter/rapl.h"
-#include "util/rng.h"
 
 namespace powerapi::api {
 
@@ -22,22 +13,17 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
       bus_(&bus),
       host_(&host),
       ns_(std::move(ns)),
-      with_powerspy_(spec.with_powerspy),
-      backend_(std::make_unique<hpc::SimBackend>(host)),
-      targets_(std::make_shared<TargetsState>()),
       registry_(std::move(spec.registry)),
       ticker_(host.now_ns(), spec.period),
       tick_topic_(bus.intern(ns_ + "tick")),
-      hpc_topic_(bus.intern(ns_ + "sensor:hpc")),
-      estimate_topic_(bus.intern(ns_ + "power:estimate")),
       aggregated_topic_(bus.intern(ns_ + "power:aggregated")),
+      with_calibration_(spec.with_calibration),
       obs_(spec.observability) {
-  targets_->host = host_;
-  util::Rng rng(spec.seed);
   if (obs_ != nullptr) {
     tick_counter_ = &obs_->metrics.counter("pipeline.ticks");
     tick_name_ = obs_->trace.intern(ns_ + "tick");
   }
+  if (with_calibration_) calibration_topic_ = bus.intern(ns_ + "calibration:updated");
 
   // A private registry wraps the spec's model unless the caller shares one
   // (a fleet passing the same registry to every host). Calibration from a
@@ -45,123 +31,32 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
   if (registry_ == nullptr && (!spec.model.empty() || spec.with_calibration)) {
     registry_ = std::make_shared<model::ModelRegistry>(std::move(spec.model));
   }
-
-  // Targets provider shared by the sensors.
-  TargetsFn targets = [state = targets_]() -> std::vector<std::int64_t> {
-    if (state->all) return state->host->pids();
-    return state->fixed;
-  };
-
-  // --- Sensors ---
-  const auto hpc_sensor = actors_->spawn_as<HpcSensor>(
-      ns_ + "sensor-hpc", *bus_, hpc_topic_, *backend_, targets, host_, obs_);
-  bus_->subscribe(tick_topic_, hpc_sensor);
-
-  // Meter sensor topics survive the blocks below: the calibration actor
-  // subscribes to one of them as its ground-truth stream.
-  std::optional<actors::EventBus::TopicId> powerspy_topic;
-  std::optional<actors::EventBus::TopicId> rapl_topic;
-
-  if (spec.with_powerspy) {
-    auto meter = std::make_shared<powermeter::PowerSpy>(
-        [h = host_] { return h->total_energy_joules(); },
-        [h = host_] { return h->now_ns(); }, rng.fork(1));
-    const auto sensor_topic = bus_->intern(ns_ + "sensor:powerspy");
-    powerspy_topic = sensor_topic;
-    const auto sensor = actors_->spawn_as<PowerSpySensor>(
-        ns_ + "sensor-powerspy", *bus_, sensor_topic, std::move(meter), obs_);
-    bus_->subscribe(tick_topic_, sensor);
-    const auto formula = actors_->spawn_as<MeterFormula>(
-        ns_ + "formula-powerspy", *bus_, estimate_topic_, "powerspy", obs_);
-    bus_->subscribe(sensor_topic, formula);
-  }
-
-  if (spec.with_rapl) {
-    auto msr = std::make_shared<powermeter::RaplMsr>(
-        [h = host_] { return h->package_energy_joules(); },
-        [h = host_] { return h->now_ns(); });
-    const auto sensor_topic = bus_->intern(ns_ + "sensor:rapl");
-    rapl_topic = sensor_topic;
-    const auto sensor = actors_->spawn_as<RaplSensor>(
-        ns_ + "sensor-rapl", *bus_, sensor_topic, std::move(msr), obs_);
-    bus_->subscribe(tick_topic_, sensor);
-    const auto formula = actors_->spawn_as<MeterFormula>(ns_ + "formula-rapl", *bus_,
-                                                         estimate_topic_, "rapl", obs_);
-    bus_->subscribe(sensor_topic, formula);
-  }
-
-  if (spec.with_io && host_->disk() != nullptr) {
-    const auto sensor_topic = bus_->intern(ns_ + "sensor:io");
-    const auto sensor = actors_->spawn_as<IoSensor>(ns_ + "sensor-io", *bus_,
-                                                    sensor_topic, *host_, obs_);
-    bus_->subscribe(tick_topic_, sensor);
-    const auto formula = actors_->spawn_as<IoFormula>(
-        ns_ + "formula-io", *bus_, estimate_topic_, host_->disk()->params(),
-        host_->nic()->params(), obs_);
-    bus_->subscribe(sensor_topic, formula);
-  }
-
-  if (spec.with_cpu_load) {
-    const auto sensor_topic = bus_->intern(ns_ + "sensor:cpu-load");
-    const auto sensor = actors_->spawn_as<CpuLoadSensor>(
-        ns_ + "sensor-cpu-load", *bus_, sensor_topic, *host_, targets, obs_);
-    bus_->subscribe(tick_topic_, sensor);
-  }
-
-  // --- The paper's formula ---
-  if (registry_ != nullptr) {
-    const auto formula = actors_->spawn_as<RegressionFormula>(
-        ns_ + "formula-hpc", *bus_, estimate_topic_, registry_, obs_);
-    bus_->subscribe(hpc_topic_, formula);
-  }
-
-  // --- Online calibration ---
-  if (spec.with_calibration) {
-    if (registry_ == nullptr) {
-      throw std::invalid_argument(
-          "Pipeline: with_calibration requires a model or registry");
-    }
-    // PowerSpy is the wall-power reference the paper trains against;
-    // RAPL (package scope) is the fallback ground truth.
-    const auto truth_topic = powerspy_topic ? powerspy_topic : rapl_topic;
-    if (!truth_topic) {
-      throw std::invalid_argument(
-          "Pipeline: with_calibration requires with_powerspy or with_rapl");
-    }
-    with_calibration_ = true;
-    calibration_topic_ = bus_->intern(ns_ + "calibration:updated");
-    const auto calibrator = actors_->spawn_as<CalibrationActor>(
-        ns_ + "calibrator", *bus_, calibration_topic_, registry_,
-        std::move(spec.calibration));
-    bus_->subscribe(hpc_topic_, calibrator);
-    bus_->subscribe(*truth_topic, calibrator);
-  }
-
-  // --- Aggregation ---
-  Aggregator::GroupResolver group_of = [h = host_](std::int64_t pid) {
-    const auto stat = h->proc_stat(pid);
-    return stat ? stat->group : std::string();
-  };
-  aggregator_ = actors_->spawn_as<Aggregator>(ns_ + "aggregator", *bus_,
-                                              aggregated_topic_, spec.dimension,
-                                              std::move(group_of), obs_);
-  bus_->subscribe(estimate_topic_, aggregator_);
-
-  // --- Declaratively attached baseline formulas ---
-  for (auto& estimator : spec.estimators) add_estimator(std::move(estimator));
+  chain_ = std::make_unique<StageChain>(
+      host, spec, ns_, registry_,
+      [bus = bus_, topic = aggregated_topic_](AggregatedPower&& row) {
+        bus->publish(topic, std::move(row));
+      });
 }
 
-void Pipeline::monitor(std::vector<std::int64_t> pids) {
-  targets_->all = false;
-  targets_->fixed = std::move(pids);
-}
+void Pipeline::monitor(std::vector<std::int64_t> pids) { chain_->monitor(std::move(pids)); }
 
-void Pipeline::monitor_all() { targets_->all = true; }
+void Pipeline::monitor_all() { chain_->monitor_all(); }
+
+void Pipeline::pin_model() {
+  if (registry_ != nullptr) pinned_ = registry_->current();
+}
 
 std::uint64_t Pipeline::publish_due_ticks() {
+  pin_model();
+  return run_due_ticks();
+}
+
+std::uint64_t Pipeline::run_due_ticks() {
   const util::TimestampNs now = host_->now_ns();
   const std::uint64_t due = ticker_.due(now);
+  if (due == 0) return 0;
   const bool observed = obs_ != nullptr && obs_->enabled();
+  const bool tick_subscribed = bus_->subscriber_count(tick_topic_) > 0;
   for (std::uint64_t i = 0; i < due; ++i) {
     MonitorTick tick{now};
     if (observed) {
@@ -170,18 +65,18 @@ std::uint64_t Pipeline::publish_due_ticks() {
       tick_counter_->add();
       obs_->trace.instant(tick_name_, tick.wall_ns, tick.seq);
     }
-    bus_->publish(tick_topic_, tick);
+    if (tick_subscribed) bus_->publish(tick_topic_, tick);
+    const auto update = chain_->run(tick, pinned_.get());
+    if (update && bus_->subscriber_count(calibration_topic_) > 0) {
+      bus_->publish(calibration_topic_, *update);
+    }
   }
   return due;
 }
 
 void Pipeline::add_estimator(
     std::shared_ptr<const baselines::MachinePowerEstimator> estimator) {
-  if (!estimator) throw std::invalid_argument("Pipeline::add_estimator: null estimator");
-  const std::string name = ns_ + "formula-" + estimator->name();
-  const auto formula = actors_->spawn_as<EstimatorFormula>(
-      name, *bus_, estimate_topic_, std::move(estimator), obs_);
-  bus_->subscribe(hpc_topic_, formula);
+  chain_->add_estimator(std::move(estimator));
 }
 
 void Pipeline::add_console_reporter(std::ostream& out) {
@@ -242,7 +137,7 @@ MemoryReporter& Pipeline::add_memory_reporter() {
 void Pipeline::finish() {
   if (finished_) return;
   finished_ = true;
-  actors_->stop(aggregator_);  // post_stop flushes pending groups.
+  chain_->flush();
 }
 
 }  // namespace powerapi::api

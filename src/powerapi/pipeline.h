@@ -1,15 +1,15 @@
 // Declarative monitoring-pipeline assembly.
 //
 // The paper's toolkit is composable middleware: Sensor → Formula →
-// Aggregator → Reporter actors wired over the event bus. PipelineSpec is
-// the declarative description of one such graph (which sensors, which
-// formulas, how to aggregate); PipelineBuilder assembles it over any
-// os::MonitorableHost into a Pipeline — the runtime handle that drives
-// ticks, retargets monitoring and attaches reporters.
+// Aggregator → Reporter. PipelineSpec (stage_chain.h) is the declarative
+// description of one host's graph (which sensors, which formulas, how to
+// aggregate); PipelineBuilder compiles it over any os::MonitorableHost into
+// a Pipeline — the runtime handle that runs ticks through the host's
+// StageChain, retargets monitoring and attaches reporters.
 //
 // Topic namespaces make the graph multi-host capable: a standalone
-// PowerMeter builds under the empty namespace ("sensor:hpc"), a
-// FleetMonitor builds host i under "h<i>/" ("h3/sensor:hpc"), so N
+// PowerMeter builds under the empty namespace ("power:aggregated"), a
+// FleetMonitor builds host i under "h<i>/" ("h3/power:aggregated"), so N
 // independent pipelines share one actor system and one bus without
 // crosstalk. All topics are interned once at build time.
 #pragma once
@@ -24,16 +24,14 @@
 #include "actors/event_bus.h"
 #include "actors/timers.h"
 #include "baselines/estimator.h"
-#include "hpc/backend.h"
 #include "model/model_registry.h"
-#include "model/power_model.h"
 #include "obs/observability.h"
 #include "os/monitorable_host.h"
-#include "powerapi/aggregators.h"
 #include "powerapi/calibration.h"
 #include "powerapi/messages.h"
 #include "powerapi/obs_reporter.h"
 #include "powerapi/reporters.h"
+#include "powerapi/stage_chain.h"
 #include "util/units.h"
 
 namespace powerapi::net {
@@ -42,42 +40,9 @@ class TelemetryClient;
 
 namespace powerapi::api {
 
-/// Declarative description of one host's monitoring pipeline.
-struct PipelineSpec {
-  util::DurationNs period = util::ms_to_ns(250);  ///< Monitoring period.
-  bool with_powerspy = true;   ///< Reference wall meter ("powerspy" series).
-  bool with_rapl = false;      ///< Emulated RAPL package meter ("rapl").
-  bool with_cpu_load = false;  ///< CPU-load sensor (for baseline formulas).
-  /// IO sensor + datasheet formula ("io-datasheet" series); only emits on
-  /// hosts built with peripherals.
-  bool with_io = false;
-  AggregationDimension dimension = AggregationDimension::kTimestamp;
-  std::uint64_t seed = 7;      ///< Seeds the meter noise stream.
-  /// The paper's regression formula; empty → no "powerapi-hpc" series
-  /// (unless `registry` is set, which wins).
-  model::CpuPowerModel model;
-  /// Shared model registry. When set, this pipeline's RegressionFormula
-  /// reads through it (and `model` is ignored) — a fleet passes the SAME
-  /// registry to every host's spec so all hosts share one immutable model
-  /// snapshot instead of owning per-host copies. When null, the pipeline
-  /// wraps `model` in a private registry.
-  std::shared_ptr<model::ModelRegistry> registry;
-  /// Online calibration: pair hpc features with meter ground truth, refit
-  /// on drift and hot-swap the registry. Requires a registry (or `model`)
-  /// plus a ground-truth meter (powerspy preferred, else rapl).
-  bool with_calibration = false;
-  CalibrationOptions calibration;  ///< Tuning for with_calibration.
-  /// Baseline formulas fed by the hpc sensor (cpu-load, Bertran, HAPPY).
-  std::vector<std::shared_ptr<const baselines::MachinePowerEstimator>> estimators;
-  /// Self-observability bundle (non-owning; must outlive the pipeline).
-  /// When set, ticks carry sequence ids, every stage records spans and
-  /// throughput counters, and add_metrics_reporter() becomes available.
-  obs::Observability* observability = nullptr;
-};
-
 /// One assembled pipeline over one host: the handle PowerMeter and
-/// FleetMonitor drive. Owns the counter backend and the tick schedule;
-/// the actors live in the shared ActorSystem.
+/// FleetMonitor drive. Owns the host's StageChain and the tick schedule;
+/// the reporter actors live in the shared ActorSystem.
 class Pipeline {
  public:
   Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
@@ -93,9 +58,18 @@ class Pipeline {
   void monitor_all();
 
   // --- Driving ---
-  /// Publishes one MonitorTick per period elapsed on the host clock since
-  /// the last call (catch-up semantics). Returns the number published.
+  /// Runs one tick through the stage chain per period elapsed on the host
+  /// clock since the last call (catch-up semantics), with the registry
+  /// snapshot pinned at the start of the call. Returns the number of ticks.
+  /// A MonitorTick is published on the bus only when something subscribes
+  /// to the tick topic (a metrics reporter).
   std::uint64_t publish_due_ticks();
+  /// Pins the registry's current snapshot for the regression formula.
+  /// A fleet pins every host before a round, so a calibration swap made
+  /// during the round is seen by every host from the next round on.
+  void pin_model();
+  /// publish_due_ticks() without the pin: the caller pinned.
+  std::uint64_t run_due_ticks();
 
   // --- Attachments (before the first tick, ideally) ---
   void add_estimator(std::shared_ptr<const baselines::MachinePowerEstimator> estimator);
@@ -119,7 +93,7 @@ class Pipeline {
   void add_remote_reporter(net::TelemetryClient& client);
 
   // --- Lifecycle ---
-  /// Stops the aggregator so its pending groups flush; idempotent. The
+  /// Flushes the aggregator's pending groups onto the bus; idempotent. The
   /// caller still drains / awaits the actor system.
   void finish();
 
@@ -142,27 +116,16 @@ class Pipeline {
   obs::Observability* observability() const noexcept { return obs_; }
 
  private:
-  struct TargetsState {
-    const os::MonitorableHost* host = nullptr;
-    std::vector<std::int64_t> fixed;
-    bool all = false;
-  };
-
   actors::ActorSystem* actors_;
   actors::EventBus* bus_;
   os::MonitorableHost* host_;
   std::string ns_;
-  bool with_powerspy_ = false;
-  std::unique_ptr<hpc::CounterBackend> backend_;
-  std::shared_ptr<TargetsState> targets_;
   std::shared_ptr<model::ModelRegistry> registry_;
+  std::shared_ptr<const model::ModelRegistry::Snapshot> pinned_;
   actors::Ticker ticker_;
   actors::EventBus::TopicId tick_topic_;
-  actors::EventBus::TopicId hpc_topic_;
-  actors::EventBus::TopicId estimate_topic_;
   actors::EventBus::TopicId aggregated_topic_;
   actors::EventBus::TopicId calibration_topic_{};
-  actors::ActorRef aggregator_;
   bool with_calibration_ = false;
   bool finished_ = false;
 
@@ -171,6 +134,8 @@ class Pipeline {
   std::uint64_t next_seq_ = 0;
   obs::Counter* tick_counter_ = nullptr;
   obs::TraceCollector::NameId tick_name_ = 0;
+
+  std::unique_ptr<StageChain> chain_;
 };
 
 /// Assembles Pipelines over a shared actor system + bus. One builder can

@@ -2,9 +2,9 @@
 //
 // A thin driver over a PipelineBuilder-assembled pipeline (see pipeline.h):
 // one MonitorableHost, one kManual actor system, the empty topic namespace.
-// A monitoring clock ("tick" topic) drives Sensor actors, whose reports
-// flow through Formula actors into an Aggregator and out to Reporters —
-// all over the event bus. For many hosts on the threaded dispatcher, see
+// A monitoring clock runs the host's sensor → formula → aggregator chain
+// (stage_chain.h) once per period; aggregated rows reach the Reporter
+// actors over the event bus. For many hosts on the threaded dispatcher, see
 // fleet_monitor.h.
 // Usage:
 //

@@ -1,47 +1,28 @@
 #include "powerapi/sensors.h"
 
 #include <algorithm>
-#include <any>
 #include <utility>
 
+#include "powerapi/messages.h"
 #include "util/logging.h"
 
 namespace powerapi::api {
 
-namespace {
-
-const MonitorTick* as_tick(const actors::Envelope& envelope) {
-  return envelope.payload.get<MonitorTick>();
-}
-
-constexpr std::string_view kSensorReports = "pipeline.sensor_reports";
-
-}  // namespace
-
 // --- HpcSensor ---
 
-HpcSensor::HpcSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                     hpc::CounterBackend& backend, TargetsFn targets,
-                     const os::MonitorableHost* host, obs::Observability* obs)
-    : bus_(&bus),
-      out_topic_(out_topic),
-      backend_(&backend),
-      targets_(std::move(targets)),
-      host_(host) {
-  stage_.attach(obs, kSensorReports);
-}
-
-void HpcSensor::realign_rows(const std::vector<std::int64_t>& new_pids) {
+void HpcSensor::realign_rows(std::span<const std::int64_t> targets) {
   // The target set changed: rebuild the row layout, carrying surviving
   // targets' windows (previous-snapshot row + primed/last-time state) over
   // by pid so they keep reporting without a re-prime gap.
-  const std::size_t rows = new_pids.size();
+  realign_pids_.assign(1, kMachinePid);
+  realign_pids_.insert(realign_pids_.end(), targets.begin(), targets.end());
+  const std::size_t rows = realign_pids_.size();
   realign_lanes_.resize(rows);
   realign_last_time_.assign(rows, 0);
   realign_primed_.assign(rows, 0);
   for (std::size_t i = 0; i < rows; ++i) {
     for (std::size_t j = 0; j < pids_.size(); ++j) {
-      if (pids_[j] != new_pids[i]) continue;
+      if (pids_[j] != realign_pids_[i]) continue;
       realign_lanes_.copy_row_from(prev_, j, i);
       realign_last_time_[i] = last_time_[j];
       realign_primed_[i] = primed_[j];
@@ -51,30 +32,15 @@ void HpcSensor::realign_rows(const std::vector<std::int64_t>& new_pids) {
   std::swap(prev_, realign_lanes_);
   last_time_.swap(realign_last_time_);
   primed_.swap(realign_primed_);
-  pids_ = new_pids;
+  pids_.swap(realign_pids_);
 }
 
-void HpcSensor::observe(const MonitorTick& tick) {
-  const util::TimestampNs now = tick.timestamp;
-
-  // Row layout: machine scope first, then this tick's targets — the scalar
-  // publish order.
-  const std::vector<std::int64_t> targets = targets_();
-  bool layout_changed = pids_.size() != targets.size() + 1;
-  if (!layout_changed) {
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      if (pids_[i + 1] != targets[i]) {
-        layout_changed = true;
-        break;
-      }
-    }
-  }
-  if (layout_changed) {
-    std::vector<std::int64_t> new_pids;
-    new_pids.reserve(targets.size() + 1);
-    new_pids.push_back(kMachinePid);
-    new_pids.insert(new_pids.end(), targets.begin(), targets.end());
-    realign_rows(new_pids);
+const model::FeatureMatrix* HpcSensor::observe(util::TimestampNs now,
+                                               std::span<const std::int64_t> targets) {
+  // Row layout: machine scope first, then this tick's targets.
+  if (pids_.size() != targets.size() + 1 ||
+      !std::equal(targets.begin(), targets.end(), pids_.begin() + 1)) {
+    realign_rows(targets);
   }
   const std::size_t rows = pids_.size();
 
@@ -82,7 +48,7 @@ void HpcSensor::observe(const MonitorTick& tick) {
   if (!extended && host_ != nullptr) {
     // The backend only fills generic event lanes (e.g. a real perf
     // backend): source the SMT co-residency and cpu-time side lanes from
-    // the host interface, exactly as the scalar path did.
+    // the host interface.
     for (std::size_t i = 0; i < rows; ++i) {
       if (!cur_.live()[i]) continue;
       if (pids_[i] < 0) {
@@ -133,57 +99,40 @@ void HpcSensor::observe(const MonitorTick& tick) {
     completed_[i] = 1;
     ++completed_count;
   }
+  if (completed_count == 0) return nullptr;
 
-  if (completed_count > 0) {
-    const double frequency_hz =
-        host_ != nullptr ? host_->system_stat().frequency_hz : 0.0;
-    const std::size_t hw_threads = host_ != nullptr ? host_->hw_threads() : 0;
-
-    // Fresh matrix per publish: catch-up ticks can queue several batches in
-    // mailboxes at once, so a reused buffer would be overwritten while the
-    // previous batch is still in flight.
-    auto matrix = std::make_shared<model::FeatureMatrix>();
-    matrix->frequency_hz = frequency_hz;
-    if (completed_count == rows) {
-      // Steady state: every row completed — extract straight into the
-      // published matrix, whole lanes at a time.
-      matrix->resize(rows);
-      std::copy(pids_.begin(), pids_.end(), matrix->pids());
-      model::extract_features_rows(cur_, prev_, window_seconds_.data(), hw_threads,
-                                   *matrix);
-    } else {
-      // Mixed tick (a priming or dead row among completed ones): extract
-      // full-width into scratch, then compact the completed rows.
-      extract_scratch_.frequency_hz = frequency_hz;
-      extract_scratch_.resize(rows);
-      std::copy(pids_.begin(), pids_.end(), extract_scratch_.pids());
-      model::extract_features_rows(cur_, prev_, window_seconds_.data(), hw_threads,
-                                   extract_scratch_);
-      matrix->resize(completed_count);
-      std::size_t out_row = 0;
-      for (std::size_t i = 0; i < rows; ++i) {
-        if (!completed_[i]) continue;
-        for (std::size_t l = 0; l < model::FeatureMatrix::kLanes; ++l) {
-          matrix->lane(l)[out_row] = extract_scratch_.lane(l)[i];
-        }
-        matrix->pids()[out_row] = pids_[i];
-        ++out_row;
+  const double frequency_hz = host_ != nullptr ? host_->system_stat().frequency_hz : 0.0;
+  const std::size_t hw_threads = host_ != nullptr ? host_->hw_threads() : 0;
+  out_.frequency_hz = frequency_hz;
+  if (completed_count == rows) {
+    // Steady state: every row completed — extract straight into the output
+    // matrix, whole lanes at a time.
+    out_.resize(rows);
+    std::copy(pids_.begin(), pids_.end(), out_.pids());
+    model::extract_features_rows(cur_, prev_, window_seconds_.data(), hw_threads, out_);
+  } else {
+    // Mixed tick (a priming or dead row among completed ones): extract
+    // full-width into scratch, then compact the completed rows.
+    extract_scratch_.frequency_hz = frequency_hz;
+    extract_scratch_.resize(rows);
+    std::copy(pids_.begin(), pids_.end(), extract_scratch_.pids());
+    model::extract_features_rows(cur_, prev_, window_seconds_.data(), hw_threads,
+                                 extract_scratch_);
+    out_.resize(completed_count);
+    std::size_t out_row = 0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (!completed_[i]) continue;
+      for (std::size_t l = 0; l < model::FeatureMatrix::kLanes; ++l) {
+        out_.lane(l)[out_row] = extract_scratch_.lane(l)[i];
       }
+      out_.pids()[out_row] = pids_[i];
+      ++out_row;
     }
-    if (host_ == nullptr) {
-      // Scalar parity: without a host there is no utilization signal.
-      double* util_lane = matrix->lane(model::FeatureMatrix::kUtilizationLane);
-      for (std::size_t i = 0; i < matrix->rows(); ++i) util_lane[i] = 0.0;
-    }
-
-    SensorBatch batch;
-    batch.timestamp = now;
-    batch.sensor = SensorKind::kHpc;
-    batch.features = std::move(matrix);
-    batch.seq = tick.seq;
-    batch.tick_wall_ns = tick.wall_ns;
-    bus_->publish(out_topic_, std::move(batch), self());
-    for (std::size_t i = 0; i < completed_count; ++i) stage_.count();
+  }
+  if (host_ == nullptr) {
+    // Without a host there is no utilization signal.
+    double* util_lane = out_.lane(model::FeatureMatrix::kUtilizationLane);
+    std::fill(util_lane, util_lane + out_.rows(), 0.0);
   }
 
   // Roll the completed rows' windows forward (primed rows already rolled).
@@ -192,85 +141,23 @@ void HpcSensor::observe(const MonitorTick& tick) {
     prev_.copy_row_from(cur_, i, i);
     last_time_[i] = now;
   }
-}
-
-void HpcSensor::receive(actors::Envelope& envelope) {
-  const MonitorTick* tick = as_tick(envelope);
-  if (tick == nullptr) return;
-  const auto span = stage_.span(name(), tick->seq);
-  observe(*tick);
-}
-
-// --- PowerSpySensor ---
-
-PowerSpySensor::PowerSpySensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                               std::shared_ptr<powermeter::PowerSpy> meter,
-                               obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), meter_(std::move(meter)) {
-  stage_.attach(obs, kSensorReports);
-}
-
-void PowerSpySensor::receive(actors::Envelope& envelope) {
-  const MonitorTick* tick = as_tick(envelope);
-  if (tick == nullptr) return;
-  const auto span = stage_.span(name(), tick->seq);
-  const auto sample = meter_->sample();
-  if (!sample) return;  // Dropped sample or first (priming) call.
-  SensorReport report;
-  report.timestamp = tick->timestamp;
-  report.pid = kMachinePid;
-  report.sensor = SensorKind::kPowerSpy;
-  report.measured_watts = sample->watts;
-  report.seq = tick->seq;
-  report.tick_wall_ns = tick->wall_ns;
-  bus_->publish(out_topic_, std::move(report), self());
-  stage_.count();
+  return &out_;
 }
 
 // --- RaplSensor ---
 
-RaplSensor::RaplSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                       std::shared_ptr<powermeter::RaplMsr> msr,
-                       obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), msr_(std::move(msr)) {
-  stage_.attach(obs, kSensorReports);
-}
-
-void RaplSensor::receive(actors::Envelope& envelope) {
-  const MonitorTick* tick = as_tick(envelope);
-  if (tick == nullptr) return;
-  const auto span = stage_.span(name(), tick->seq);
-  if (!msr_->available()) return;
+std::optional<double> RaplSensor::observe(util::TimestampNs now) {
+  if (!msr_->available()) return std::nullopt;
   const std::uint32_t raw = msr_->read_energy_status();
-  const auto completed = window_.advance(tick->timestamp, raw);
-  if (!completed) return;
-  const double joules = powermeter::RaplMsr::energy_between(completed->previous, raw);
-
-  SensorReport report;
-  report.timestamp = tick->timestamp;
-  report.pid = kMachinePid;
-  report.sensor = SensorKind::kRapl;
-  report.window_seconds = completed->seconds;
-  report.measured_watts = joules / completed->seconds;
-  report.seq = tick->seq;
-  report.tick_wall_ns = tick->wall_ns;
-  bus_->publish(out_topic_, std::move(report), self());
-  stage_.count();
+  const auto completed = window_.advance(now, raw);
+  if (!completed) return std::nullopt;
+  return powermeter::RaplMsr::energy_between(completed->previous, raw) / completed->seconds;
 }
 
 // --- IoSensor ---
 
-IoSensor::IoSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                   const os::MonitorableHost& host, obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), host_(&host) {
-  stage_.attach(obs, kSensorReports);
-}
-
-void IoSensor::receive(actors::Envelope& envelope) {
-  const MonitorTick* tick = as_tick(envelope);
-  if (tick == nullptr) return;
-  const auto span = stage_.span(name(), tick->seq);
-  if (host_->disk() == nullptr) return;  // No peripherals on this host.
+std::optional<IoRates> IoSensor::observe(util::TimestampNs now) {
+  if (host_->disk() == nullptr) return std::nullopt;  // No peripherals on this host.
 
   const os::IoTotals totals = host_->io_totals();
   // Same underflow guard as the HPC sensor: cumulative IO counters going
@@ -285,69 +172,15 @@ void IoSensor::receive(actors::Envelope& envelope) {
       window_.reset();
     }
   }
-  const auto completed = window_.advance(tick->timestamp, totals);
-  if (!completed) return;
+  const auto completed = window_.advance(now, totals);
+  if (!completed) return std::nullopt;
   const double window_s = completed->seconds;
   const os::IoTotals& last = completed->previous;
-
-  SensorReport report;
-  report.timestamp = tick->timestamp;
-  report.pid = kMachinePid;
-  report.sensor = SensorKind::kIo;
-  report.window_seconds = window_s;
-  report.disk_iops = (totals.disk_ops - last.disk_ops) / window_s;
-  report.disk_bytes_per_sec = (totals.disk_bytes - last.disk_bytes) / window_s;
-  report.net_bytes_per_sec = (totals.net_bytes - last.net_bytes) / window_s;
-  report.seq = tick->seq;
-  report.tick_wall_ns = tick->wall_ns;
-  bus_->publish(out_topic_, std::move(report), self());
-  stage_.count();
-}
-
-// --- CpuLoadSensor ---
-
-CpuLoadSensor::CpuLoadSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                             const os::MonitorableHost& host, TargetsFn targets,
-                             obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), host_(&host), targets_(std::move(targets)) {
-  stage_.attach(obs, kSensorReports);
-}
-
-void CpuLoadSensor::receive(actors::Envelope& envelope) {
-  const MonitorTick* tick = as_tick(envelope);
-  if (tick == nullptr) return;
-  const auto span = stage_.span(name(), tick->seq);
-
-  auto publish = [&](std::int64_t pid, double utilization) {
-    SensorReport report;
-    report.timestamp = tick->timestamp;
-    report.pid = pid;
-    report.sensor = SensorKind::kCpuLoad;
-    report.frequency_hz = host_->system_stat().frequency_hz;
-    report.utilization = utilization;
-    report.seq = tick->seq;
-    report.tick_wall_ns = tick->wall_ns;
-    bus_->publish(out_topic_, std::move(report), self());
-    stage_.count();
-  };
-
-  // Machine scope: immediate utilization from the last tick.
-  publish(kMachinePid, host_->system_stat().utilization);
-
-  for (const std::int64_t pid : targets_()) {
-    const auto stat = host_->proc_stat(pid);
-    if (!stat) {
-      windows_.erase(pid);
-      continue;
-    }
-    SamplingWindow<util::DurationNs>& window = windows_[pid];
-    if (window.primed() && stat->cpu_time_ns < window.last()) window.reset();
-    const auto completed = window.advance(tick->timestamp, stat->cpu_time_ns);
-    if (!completed) continue;
-    const double busy_s = util::ns_to_seconds(stat->cpu_time_ns - completed->previous);
-    const auto hw = static_cast<double>(host_->hw_threads());
-    publish(pid, busy_s / (completed->seconds * hw));
-  }
+  IoRates rates;
+  rates.disk_iops = (totals.disk_ops - last.disk_ops) / window_s;
+  rates.disk_bytes_per_sec = (totals.disk_bytes - last.disk_bytes) / window_s;
+  rates.net_bytes_per_sec = (totals.net_bytes - last.net_bytes) / window_s;
+  return rates;
 }
 
 }  // namespace powerapi::api

@@ -1,39 +1,32 @@
-// Sensor actors: turn MonitorTicks into SensorReports on the event bus.
+// Sensor stages: turn one monitoring tick into readings.
 //
-// Every sensor publishes on an output topic the builder interns for it —
-// "sensor:hpc" in a standalone pipeline, "h3/sensor:hpc" inside a fleet
-// namespace — and keeps its window bookkeeping in SamplingWindow instances
-// rather than hand-rolled primed/last fields.
+// Sensors are plain objects owned by a host's StageChain (see
+// stage_chain.h) and called in order once per tick; nothing queues between
+// stages, so every sensor reuses its output buffers across ticks. Window
+// bookkeeping lives in SamplingWindow instances (or, for the HPC sensor,
+// row-parallel arrays with the same semantics) rather than hand-rolled
+// primed/last fields.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
-#include "actors/actor.h"
-#include "actors/event_bus.h"
 #include "hpc/backend.h"
 #include "model/feature_matrix.h"
 #include "os/monitorable_host.h"
-#include "powerapi/messages.h"
 #include "powerapi/sampling_window.h"
-#include "powerapi/stage_obs.h"
-#include "powermeter/powerspy.h"
 #include "powermeter/rapl.h"
 
 namespace powerapi::api {
 
-/// Supplies the set of pids to monitor at each tick (dynamic: processes come
-/// and go). Returning an empty vector monitors only the machine scope.
-using TargetsFn = std::function<std::vector<std::int64_t>()>;
-
 /// Reads HPC counters for each target plus the machine scope in one batched
-/// lane gather, converts the per-window deltas into rates lane-by-lane and
-/// publishes ONE SensorKind::kHpc SensorBatch per tick on `out_topic` (row
-/// 0 = machine scope, then the targets in monitoring order — the scalar
-/// publish order).
+/// lane gather and converts the per-window deltas into rates lane-by-lane.
+/// observe() returns the completed rows as one lane-major matrix (row 0 =
+/// machine scope when its window completed, then the targets in monitoring
+/// order); rows still priming, dead or stale are left out.
 ///
 /// Window bookkeeping is kept per row as parallel arrays instead of a
 /// pid→SamplingWindow map: prime/stale/regression semantics are identical
@@ -45,22 +38,21 @@ using TargetsFn = std::function<std::vector<std::int64_t>()>;
 /// utilization and — when the backend's batch read does not — the SMT
 /// co-residency and cpu-time side lanes; a live deployment passes nullptr
 /// and those fields default.
-class HpcSensor final : public actors::Actor {
+class HpcSensor {
  public:
-  HpcSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-            hpc::CounterBackend& backend, TargetsFn targets,
-            const os::MonitorableHost* host, obs::Observability* obs = nullptr);
+  HpcSensor(hpc::CounterBackend& backend, const os::MonitorableHost* host)
+      : backend_(&backend), host_(host) {}
 
-  void receive(actors::Envelope& envelope) override;
+  /// Observes the targets (the machine scope is always observed) at `now`.
+  /// Returns the completed rows, or nullptr when none completed. The matrix
+  /// is reused: it stays valid until the next observe().
+  const model::FeatureMatrix* observe(util::TimestampNs now,
+                                      std::span<const std::int64_t> targets);
 
  private:
-  void observe(const MonitorTick& tick);
-  void realign_rows(const std::vector<std::int64_t>& new_pids);
+  void realign_rows(std::span<const std::int64_t> targets);
 
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   hpc::CounterBackend* backend_;
-  TargetsFn targets_;
   const os::MonitorableHost* host_;
 
   // Row-parallel window state. pids_[0] is always kMachinePid.
@@ -72,85 +64,52 @@ class HpcSensor final : public actors::Actor {
   // Per-tick scratch.
   std::vector<double> window_seconds_;
   std::vector<std::uint8_t> completed_;
+  std::vector<std::int64_t> realign_pids_;
   simcpu::CounterLanes realign_lanes_;
   std::vector<util::TimestampNs> realign_last_time_;
   std::vector<std::uint8_t> realign_primed_;
   model::FeatureMatrix extract_scratch_;
-
-  StageObs stage_;
+  model::FeatureMatrix out_;
 };
 
-/// Publishes the (simulated) wall meter's reading as SensorKind::kPowerSpy.
-class PowerSpySensor final : public actors::Actor {
+/// Reads the emulated RAPL MSR and differentiates energy into package watts.
+/// The raw MSR value is a wrapping 32-bit counter, so a decrease is a
+/// wraparound, not a reset — energy_between unwraps it and the window never
+/// re-primes.
+class RaplSensor {
  public:
-  PowerSpySensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                 std::shared_ptr<powermeter::PowerSpy> meter,
-                 obs::Observability* obs = nullptr);
+  explicit RaplSensor(std::shared_ptr<powermeter::RaplMsr> msr) : msr_(std::move(msr)) {}
 
-  void receive(actors::Envelope& envelope) override;
+  /// Watts over the window ending at `now`; nullopt while priming, on a
+  /// stale timestamp or when the MSR is unavailable.
+  std::optional<double> observe(util::TimestampNs now);
 
  private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
-  std::shared_ptr<powermeter::PowerSpy> meter_;
-  StageObs stage_;
-};
-
-/// Reads the emulated RAPL MSR, differentiates energy into watts and
-/// publishes SensorKind::kRapl. The raw MSR value is a wrapping 32-bit
-/// counter, so a decrease is a wraparound, not a reset — energy_between
-/// unwraps it and the window never re-primes.
-class RaplSensor final : public actors::Actor {
- public:
-  RaplSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-             std::shared_ptr<powermeter::RaplMsr> msr,
-             obs::Observability* obs = nullptr);
-
-  void receive(actors::Envelope& envelope) override;
-
- private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   std::shared_ptr<powermeter::RaplMsr> msr_;
   SamplingWindow<std::uint32_t> window_;
-  StageObs stage_;
 };
 
-/// Differences the host's iostat-style IO counters into machine-scope rates
-/// (the disk/network dimension of the paper's component splitting).
-/// Publishes nothing when the host has no peripherals.
-class IoSensor final : public actors::Actor {
- public:
-  IoSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-           const os::MonitorableHost& host, obs::Observability* obs = nullptr);
+/// Machine-scope IO rates over one window (the disk/network dimension of
+/// the paper's component splitting).
+struct IoRates {
+  double disk_iops = 0.0;
+  double disk_bytes_per_sec = 0.0;
+  double net_bytes_per_sec = 0.0;
+};
 
-  void receive(actors::Envelope& envelope) override;
+/// Differences the host's iostat-style IO counters into machine-scope rates.
+/// Reads nothing when the host has no peripherals.
+class IoSensor {
+ public:
+  explicit IoSensor(const os::MonitorableHost& host) : host_(&host) {}
+
+  /// Rates over the window ending at `now`; nullopt while priming, on a
+  /// stale timestamp, after a counter regression, or without peripherals.
+  std::optional<IoRates> observe(util::TimestampNs now);
 
  private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   const os::MonitorableHost* host_;
   SamplingWindow<os::IoTotals> window_;
-  StageObs stage_;
-};
-
-/// Publishes per-target CPU utilization as SensorKind::kCpuLoad (the input
-/// of the Versick-style baseline formula). Simulation only.
-class CpuLoadSensor final : public actors::Actor {
- public:
-  CpuLoadSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                const os::MonitorableHost& host, TargetsFn targets,
-                obs::Observability* obs = nullptr);
-
-  void receive(actors::Envelope& envelope) override;
-
- private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
-  const os::MonitorableHost* host_;
-  TargetsFn targets_;
-  std::map<std::int64_t, SamplingWindow<util::DurationNs>> windows_;
-  StageObs stage_;
 };
 
 }  // namespace powerapi::api

@@ -1,11 +1,11 @@
-// Per-stage observability hooks shared by the pipeline actors.
+// Per-stage observability hooks shared by the pipeline stages.
 //
-// Every Sensor/Formula/Aggregator actor owns one StageObs, attached at
-// construction when the pipeline was built with an Observability bundle.
-// It provides the two things a stage records per message: a Chrome-trace
-// span named after the actor (correlated across stages by the tick seq id)
+// Every stage of a host's chain owns one StageObs, attached at build time
+// when the pipeline was built with an Observability bundle. It provides the
+// two things a stage records per host-tick: a Chrome-trace span named after
+// the stage ("h3/sensor-hpc"; correlated across stages by the tick seq id)
 // and a throughput counter. Unattached (or disabled) stages pay one branch
-// per receive — the pipeline works identically without observability.
+// per call — the pipeline works identically without observability.
 #pragma once
 
 #include <cstdint>
@@ -20,20 +20,21 @@ class StageObs {
   StageObs() = default;
 
   /// `obs` is non-owning and may be null (stage not observed). The counter
-  /// ("pipeline.sensor_reports", "pipeline.estimates", ...) is interned once.
-  void attach(obs::Observability* obs, std::string_view counter_name) {
+  /// ("pipeline.sensor_reports", "pipeline.estimates", ...) and the span
+  /// name are interned once; an empty name skips that half.
+  void attach(obs::Observability* obs, std::string_view counter_name,
+              std::string_view span_name = {}) {
     obs_ = obs;
-    if (obs_ != nullptr) counter_ = &obs_->metrics.counter(counter_name);
+    if (obs_ == nullptr) return;
+    if (!counter_name.empty()) counter_ = &obs_->metrics.counter(counter_name);
+    if (!span_name.empty()) name_id_ = obs_->trace.intern(span_name);
   }
 
   bool active() const noexcept { return obs_ != nullptr && obs_->enabled(); }
-  obs::Observability* observability() const noexcept { return obs_; }
 
-  /// Span covering one receive(). The actor's name is interned lazily on
-  /// the first traced message (spawn-time ctors don't know it yet).
-  obs::ScopedSpan span(std::string_view actor_name, std::uint64_t seq) {
-    if (!active()) return obs::ScopedSpan(nullptr, 0, 0);
-    if (name_id_ == 0) name_id_ = obs_->trace.intern(actor_name);
+  /// Span covering one tick's pass through the stage.
+  obs::ScopedSpan span(std::uint64_t seq) {
+    if (name_id_ == 0 || !active()) return obs::ScopedSpan(nullptr, 0, 0);
     return obs::ScopedSpan(&obs_->trace, name_id_, seq);
   }
 

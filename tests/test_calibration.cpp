@@ -1,9 +1,9 @@
 // Online calibration: the learn→deploy loop inside a running pipeline.
 //
 // A deliberately distorted model drifts against the PowerSpy ground truth;
-// the CalibrationActor must detect it, refit from paired samples and swap
-// the registry — after which the "powerapi-hpc" estimates carry a newer
-// model version and sit measurably closer to the meter. kManual runs are
+// the calibration stage must detect it, refit from paired samples and swap
+// the registry — after which the "powerapi-hpc" rows carry a newer model
+// version and sit measurably closer to the meter. kManual runs are
 // bit-deterministic; the threaded fleet variant is the TSan target.
 #include <gtest/gtest.h>
 
@@ -25,43 +25,6 @@ namespace {
 
 using util::ms_to_ns;
 using util::seconds_to_ns;
-
-/// Collects raw payloads of one type from a topic.
-template <typename T>
-class Collector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    if (const T* value = envelope.payload.get<T>()) items.push_back(*value);
-  }
-  std::vector<T> items;
-};
-
-/// Collects "power:estimate" traffic, flattening EstimateBatch rows into
-/// the scalar PowerEstimate shape the assertions use.
-class EstimateCollector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    if (const auto* estimate = envelope.payload.get<PowerEstimate>()) {
-      items.push_back(*estimate);
-      return;
-    }
-    const auto* batch = envelope.payload.get<EstimateBatch>();
-    if (batch == nullptr || !batch->features) return;
-    for (std::size_t i = 0; i < batch->features->rows() && i < batch->watts.size();
-         ++i) {
-      PowerEstimate row;
-      row.timestamp = batch->timestamp;
-      row.pid = batch->features->pid(i);
-      row.formula = batch->formula;
-      row.model_version = batch->model_version;
-      row.watts = batch->watts[i];
-      row.seq = batch->seq;
-      row.tick_wall_ns = batch->tick_wall_ns;
-      items.push_back(row);
-    }
-  }
-  std::vector<PowerEstimate> items;
-};
 
 /// A model whose structure matches the machine but whose coefficients are
 /// scaled by `distortion` — the "shipped profile gone stale" scenario.
@@ -105,7 +68,7 @@ PowerMeter::Config calibrating_config() {
 
 struct CalibratedRun {
   std::vector<ModelUpdated> swaps;
-  std::vector<PowerEstimate> estimates;  ///< Raw "power:estimate" traffic.
+  std::vector<AggregatedPower> estimates;  ///< Every aggregated row, arrival order.
 };
 
 CalibratedRun run_calibrated(double distortion, util::DurationNs duration,
@@ -116,14 +79,11 @@ CalibratedRun run_calibrated(double distortion, util::DurationNs duration,
   CalibratedRun run;
   meter.pipeline().add_model_update_callback(
       [&run](const ModelUpdated& update) { run.swaps.push_back(update); });
-  auto collector = std::make_unique<EstimateCollector>();
-  EstimateCollector& estimates = *collector;
-  meter.bus().subscribe("power:estimate",
-                        meter.actor_system().spawn("collector", std::move(collector)));
+  const MemoryReporter& rows = meter.add_memory_reporter();
 
   meter.run_for(duration);
   meter.finish();
-  run.estimates = estimates.items;
+  run.estimates = rows.all();
   return run;
 }
 
@@ -168,15 +128,15 @@ TEST(Calibration, EstimatesCarryTheModelVersionThatProducedThem) {
   const util::TimestampNs swap_at = run.swaps.front().timestamp;
   for (const auto& e : run.estimates) {
     if (e.formula != "powerapi-hpc") continue;
-    // The swap tick itself is ambiguous (estimate and swap race within one
-    // drain); every other tick must be on the right side of the boundary.
-    if (e.timestamp < swap_at) {
+    // Calibration runs after the formulas within a tick: the swap tick
+    // itself still used the old model, the next tick reads the new one.
+    if (e.timestamp <= swap_at) {
       EXPECT_EQ(e.model_version, 1u) << "t=" << e.timestamp;
-    } else if (e.timestamp > swap_at) {
+    } else {
       EXPECT_GE(e.model_version, 2u) << "t=" << e.timestamp;
     }
   }
-  // Meter pass-through estimates never claim a model version.
+  // Meter pass-through rows never claim a model version.
   for (const auto& e : run.estimates) {
     if (e.formula == "powerspy") EXPECT_EQ(e.model_version, 0u);
   }

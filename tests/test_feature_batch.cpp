@@ -1,11 +1,12 @@
 // Edge cases of the batched SoA feature/model hot path: batch-vs-scalar
 // bit-identity, zero-delta windows, counter regression (re-prime) hitting
-// one row of a chunk while the others keep reporting, heterogeneous core
-// counts inside one host-chunk, and chunk sizes that do not divide the
-// fleet evenly.
+// one row of a batch while the others keep reporting, and the fleet's round
+// loop: heterogeneous core counts, claim sizes that do not divide the fleet
+// evenly, and threaded rounds (every worker count and claim cap) advancing
+// every host exactly once per round with per-host series equal to kManual.
 #include <gtest/gtest.h>
 
-#include <any>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -13,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "actors/actor_system.h"
-#include "actors/event_bus.h"
 #include "hpc/backend.h"
 #include "model/feature_matrix.h"
 #include "model/power_model.h"
@@ -146,25 +145,7 @@ TEST(FeatureBatch, RegressedCountersSaturateToZeroInsteadOfWrapping) {
   }
 }
 
-// --- HpcSensor: re-prime of one row mid-chunk ---
-
-/// Collects SensorBatch pids per tick, in row order.
-class BatchPidCollector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    const auto* batch = envelope.payload.get<SensorBatch>();
-    if (batch == nullptr || !batch->features) return;
-    std::vector<std::int64_t> row_pids;
-    for (std::size_t i = 0; i < batch->features->rows(); ++i) {
-      row_pids.push_back(batch->features->pid(i));
-      rates[batch->features->pid(i)] =
-          model::rate_of(batch->features->row(i).rates, hpc::EventId::kInstructions);
-    }
-    batches.push_back(std::move(row_pids));
-  }
-  std::vector<std::vector<std::int64_t>> batches;
-  std::map<std::int64_t, double> rates;  ///< Last instruction rate per pid.
-};
+// --- HpcSensor: re-prime of one row mid-batch ---
 
 class ScriptedBackend final : public hpc::CounterBackend {
  public:
@@ -176,19 +157,20 @@ class ScriptedBackend final : public hpc::CounterBackend {
   std::map<std::int64_t, hpc::EventValues> values;
 };
 
-TEST(FeatureBatch, RePrimeMidChunkDropsOnlyTheRegressedRow) {
-  actors::ActorSystem actors(actors::ActorSystem::Mode::kManual);
-  actors::EventBus bus(actors);
+/// Row pids of every batch the sensor produced, and the last instruction
+/// rate seen per pid.
+struct BatchLog {
+  std::vector<std::vector<std::int64_t>> batches;
+  std::map<std::int64_t, double> rates;
+};
+
+TEST(FeatureBatch, RePrimeMidBatchDropsOnlyTheRegressedRow) {
   ScriptedBackend backend;
   constexpr std::int64_t kPidA = 7;
   constexpr std::int64_t kPidB = 8;
-
-  auto collector = std::make_unique<BatchPidCollector>();
-  BatchPidCollector& seen = *collector;
-  bus.subscribe("sensor:hpc", actors.spawn("collector", std::move(collector)));
-  const auto sensor = actors.spawn_as<HpcSensor>(
-      "sensor", bus, bus.intern("sensor:hpc"), backend,
-      [] { return std::vector<std::int64_t>{kPidA, kPidB}; }, nullptr);
+  HpcSensor sensor(backend, nullptr);
+  const std::vector<std::int64_t> targets = {kPidA, kPidB};
+  BatchLog seen;
 
   auto tick = [&](int second, std::uint64_t a, std::uint64_t b) {
     // Machine counters stay monotone throughout — only pid A regresses.
@@ -196,8 +178,12 @@ TEST(FeatureBatch, RePrimeMidChunkDropsOnlyTheRegressedRow) {
         static_cast<std::uint64_t>(second) * 10'000'000;
     backend.values[kPidA][hpc::EventId::kInstructions] = a;
     backend.values[kPidB][hpc::EventId::kInstructions] = b;
-    sensor.tell(MonitorTick{seconds_to_ns(second)});
-    actors.drain();
+    const model::FeatureMatrix* rows = sensor.observe(seconds_to_ns(second), targets);
+    if (rows == nullptr) return;
+    seen.batches.emplace_back(rows->pids(), rows->pids() + rows->rows());
+    for (std::size_t i = 0; i < rows->rows(); ++i) {
+      seen.rates[rows->pid(i)] = rows->rate_lane(hpc::EventId::kInstructions)[i];
+    }
   };
 
   tick(1, 1'000'000, 2'000'000);  // Primes all three rows.
@@ -223,12 +209,9 @@ TEST(FeatureBatch, RePrimeMidChunkDropsOnlyTheRegressedRow) {
             (std::vector<std::int64_t>{kMachinePid, kPidA, kPidB}));
   EXPECT_EQ(seen.rates[kPidA], 240'000.0);
   EXPECT_EQ(seen.rates[kPidB], 4e5);
-
-  EXPECT_EQ(actors.failures(), 0u);
-  actors.shutdown();
 }
 
-// --- Fleet chunking: heterogeneous hosts, uneven chunk sizes ---
+// --- Fleet rounds: heterogeneous hosts, uneven claims, threaded dispatch ---
 
 std::string hex_double(double value) {
   char buffer[48];
@@ -256,25 +239,71 @@ simcpu::CpuSpec heterogeneous_spec(std::size_t index) {
   }
 }
 
-/// Runs `host_count` heterogeneous hosts under kManual with the given
-/// chunking and serializes every host's per-formula series bit-exactly.
-std::string run_chunked_fleet(std::size_t host_count, std::size_t hosts_per_chunk) {
-  std::vector<std::unique_ptr<os::System>> hosts;
-  for (std::size_t i = 0; i < host_count; ++i) {
+/// Forwards to a simulated host and counts advance() calls, so a test can
+/// check that every host advances exactly once per round.
+class CountingHost final : public os::MonitorableHost {
+ public:
+  explicit CountingHost(std::unique_ptr<os::System> system) : system_(std::move(system)) {}
+
+  std::vector<os::Pid> pids() const override { return system_->pids(); }
+  std::optional<os::ProcStat> proc_stat(os::Pid pid) const override {
+    return system_->proc_stat(pid);
+  }
+  os::SystemStat system_stat() const override { return system_->system_stat(); }
+  util::TimestampNs now_ns() const override { return system_->now_ns(); }
+  const simcpu::CounterBlock& machine_counters() const override {
+    return system_->machine_counters();
+  }
+  std::size_t hw_threads() const override { return system_->hw_threads(); }
+  double total_energy_joules() const override { return system_->total_energy_joules(); }
+  double package_energy_joules() const override { return system_->package_energy_joules(); }
+  const os::IoTotals& io_totals() const override { return system_->io_totals(); }
+  const periph::DiskModel* disk() const override { return system_->disk(); }
+  const periph::NicModel* nic() const override { return system_->nic(); }
+  void advance(util::DurationNs duration) override {
+    advances.fetch_add(1, std::memory_order_relaxed);
+    system_->advance(duration);
+  }
+  void gather_counter_lanes(std::span<const os::Pid> targets,
+                            simcpu::CounterLanes& out) const override {
+    system_->gather_counter_lanes(targets, out);
+  }
+
+  std::atomic<std::uint64_t> advances{0};
+
+ private:
+  std::unique_ptr<os::System> system_;
+};
+
+struct FleetShape {
+  std::size_t hosts = 1;
+  std::size_t hosts_per_chunk = 8;
+  actors::ActorSystem::Mode mode = actors::ActorSystem::Mode::kManual;
+  std::size_t workers = 1;
+};
+
+/// Runs `shape.hosts` heterogeneous hosts round by round and serializes
+/// every host's per-formula series bit-exactly; with `with_fleet`, also the
+/// fleet dimension (summed in arrival order, which threading permutes).
+/// Every round must advance every host exactly once.
+std::string run_chunked_fleet(const FleetShape& shape, bool with_fleet = true) {
+  std::vector<std::unique_ptr<CountingHost>> hosts;
+  for (std::size_t i = 0; i < shape.hosts; ++i) {
     auto host = std::make_unique<os::System>(heterogeneous_spec(i));
     host->spawn("app", std::make_unique<workloads::SteadyBehavior>(
                            workloads::cpu_stress(0.2 + 0.1 * (i % 4)), 0));
     host->spawn("mem", std::make_unique<workloads::SteadyBehavior>(
                            workloads::memory_stress(4e6 * (1 + i % 3), 0.8), 0));
-    hosts.push_back(std::move(host));
+    hosts.push_back(std::make_unique<CountingHost>(std::move(host)));
   }
 
   FleetMonitor::Options options;
-  options.mode = actors::ActorSystem::Mode::kManual;
-  options.hosts_per_chunk = hosts_per_chunk;
+  options.mode = shape.mode;
+  options.workers = shape.workers;
+  options.hosts_per_chunk = shape.hosts_per_chunk;
   FleetMonitor fleet(options);
   std::vector<MemoryReporter*> memory;
-  for (std::size_t i = 0; i < host_count; ++i) {
+  for (std::size_t i = 0; i < shape.hosts; ++i) {
     PipelineSpec spec;
     spec.period = ms_to_ns(25);
     spec.model = chunk_model();
@@ -284,11 +313,18 @@ std::string run_chunked_fleet(std::size_t host_count, std::size_t hosts_per_chun
     fleet.monitor_all(index);
   }
   auto& fleet_memory = fleet.add_fleet_reporter();
-  fleet.run_for(ms_to_ns(300));
+  std::uint64_t rounds = 0;
+  fleet.run_for(ms_to_ns(300), [&](util::DurationNs) {
+    ++rounds;
+    for (std::size_t i = 0; i < shape.hosts; ++i) {
+      EXPECT_EQ(hosts[i]->advances.load(), rounds) << "host " << i << " round " << rounds;
+    }
+  });
+  EXPECT_EQ(rounds, 12u);
   fleet.finish();
 
   std::ostringstream out;
-  for (std::size_t i = 0; i < host_count; ++i) {
+  for (std::size_t i = 0; i < shape.hosts; ++i) {
     for (const char* formula : {"powerapi-hpc", "powerspy"}) {
       for (const auto& row : memory[i]->series(formula)) {
         out << 'h' << i << ',' << formula << ',' << row.timestamp << ','
@@ -296,6 +332,7 @@ std::string run_chunked_fleet(std::size_t host_count, std::size_t hosts_per_chun
       }
     }
   }
+  if (!with_fleet) return out.str();
   for (const auto& row : fleet_memory.group_series("powerapi-hpc", "(fleet)")) {
     out << "fleet," << row.timestamp << ',' << hex_double(row.watts) << '\n';
   }
@@ -303,20 +340,38 @@ std::string run_chunked_fleet(std::size_t host_count, std::size_t hosts_per_chun
 }
 
 TEST(FeatureBatch, HeterogeneousCoreCountsInOneChunkMatchPerHostChunking) {
-  // Three hosts with different core/SMT counts inside ONE chunk must
-  // produce exactly what per-host chunking produces: each host's
-  // hw_threads flows through its own batch extraction.
-  EXPECT_EQ(run_chunked_fleet(3, 8), run_chunked_fleet(3, 1));
+  // Three hosts with different core/SMT counts in one round must produce
+  // exactly what they produce alone: each host's hw_threads flows through
+  // its own batch extraction.
+  EXPECT_EQ(run_chunked_fleet({3, 8}), run_chunked_fleet({3, 1}));
 }
 
 TEST(FeatureBatch, ChunkSizeNotDividingFleetIsLossless) {
-  // 5 hosts into chunks of 2 leaves a remainder chunk of 1; output must be
-  // bit-identical to both per-host chunking and one whole-fleet chunk.
-  const std::string by_two = run_chunked_fleet(5, 2);
-  EXPECT_EQ(by_two, run_chunked_fleet(5, 1));
-  EXPECT_EQ(by_two, run_chunked_fleet(5, 5));
-  // Degenerate option value: 0 clamps to 1 instead of dividing by zero.
-  EXPECT_EQ(by_two, run_chunked_fleet(5, 0));
+  // In kManual the claim cap does not change the round loop: 5 hosts under
+  // caps 2, 1, 5 and the degenerate 0 (clamped to 1) are bit-identical.
+  const std::string by_two = run_chunked_fleet({5, 2});
+  EXPECT_EQ(by_two, run_chunked_fleet({5, 1}));
+  EXPECT_EQ(by_two, run_chunked_fleet({5, 5}));
+  EXPECT_EQ(by_two, run_chunked_fleet({5, 0}));
+}
+
+TEST(FeatureBatch, ThreadedRoundsMatchManualPerHostSeries) {
+  // Guided self-scheduling over every worker count and claim cap: each
+  // host advances exactly once per round (checked inside the run), and its
+  // series equals the kManual run bit for bit. Fleet-dimension rows are
+  // left out: threaded arrival order permutes their summation.
+  for (const std::size_t hosts : {1, 7, 32}) {
+    const std::string manual = run_chunked_fleet({hosts, 8}, /*with_fleet=*/false);
+    for (std::size_t workers = 1; workers <= 4; ++workers) {
+      for (const std::size_t cap : {0, 1, 3, 8, 64}) {
+        SCOPED_TRACE("hosts=" + std::to_string(hosts) + " workers=" +
+                     std::to_string(workers) + " cap=" + std::to_string(cap));
+        EXPECT_EQ(run_chunked_fleet({hosts, cap, actors::ActorSystem::Mode::kThreaded, workers},
+                                    /*with_fleet=*/false),
+                  manual);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the IO counter path: the cumulative iostat-style IoTotals a
 // host exposes, the IoSensor that differences them into rates, and the
 // datasheet formula that turns those rates into a peripheral power share —
-// the disk/network dimension of the paper's component splitting, message
+// the disk/network dimension of the paper's component splitting, stage
 // level (complementing the peripheral POWER model tests in
 // test_periph_turbo.cpp).
 #include <gtest/gtest.h>
@@ -9,8 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "actors/actor_system.h"
-#include "actors/event_bus.h"
 #include "os/monitorable_host.h"
 #include "os/system.h"
 #include "powerapi/formulas.h"
@@ -23,32 +21,6 @@ namespace {
 
 using util::ms_to_ns;
 using util::seconds_to_ns;
-
-/// Collects raw payloads of one type from a topic.
-template <typename T>
-class Collector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    if (const T* value = envelope.payload.get<T>()) items.push_back(*value);
-  }
-  std::vector<T> items;
-};
-
-struct Harness {
-  Harness() : actors(actors::ActorSystem::Mode::kManual), bus(actors) {}
-  ~Harness() { actors.shutdown(); }
-
-  template <typename T>
-  Collector<T>& collect(const std::string& topic) {
-    auto owned = std::make_unique<Collector<T>>();
-    Collector<T>& ref = *owned;
-    bus.subscribe(topic, actors.spawn("collector", std::move(owned)));
-    return ref;
-  }
-
-  actors::ActorSystem actors;
-  actors::EventBus bus;
-};
 
 /// A host whose IO totals are scripted by the test: the sensor's input is
 /// then exact, so rate assertions can be EXPECT_DOUBLE_EQ, not NEAR.
@@ -133,119 +105,64 @@ TEST(IoTotals, AccountingIsDeterministic) {
 
 TEST(IoSensor, DifferencesTotalsIntoExactRates) {
   ScriptedIoHost host;
-  Harness h;
-  auto& reports = h.collect<SensorReport>("sensor:io");
-  const auto sensor = h.actors.spawn_as<IoSensor>(
-      "sensor", h.bus, h.bus.intern("sensor:io"), host);
+  IoSensor sensor(host);
 
   host.totals_ = {100.0, 1e6, 2e6};
-  sensor.tell(MonitorTick{seconds_to_ns(1)});
-  h.actors.drain();
-  EXPECT_TRUE(reports.items.empty());  // Priming tick.
+  EXPECT_FALSE(sensor.observe(seconds_to_ns(1)));  // Priming tick.
 
   host.totals_ = {150.0, 3e6, 6e6};  // +50 ops, +2 MB disk, +4 MB net.
-  sensor.tell(MonitorTick{seconds_to_ns(3)});  // 2 s window.
-  h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 1u);
-  const SensorReport& r = reports.items[0];
-  EXPECT_EQ(r.pid, kMachinePid);
-  EXPECT_EQ(r.sensor, SensorKind::kIo);
-  EXPECT_DOUBLE_EQ(r.window_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(r.disk_iops, 25.0);
-  EXPECT_DOUBLE_EQ(r.disk_bytes_per_sec, 1e6);
-  EXPECT_DOUBLE_EQ(r.net_bytes_per_sec, 2e6);
+  const auto r = sensor.observe(seconds_to_ns(3));  // 2 s window.
+  ASSERT_TRUE(r);
+  EXPECT_DOUBLE_EQ(r->disk_iops, 25.0);
+  EXPECT_DOUBLE_EQ(r->disk_bytes_per_sec, 1e6);
+  EXPECT_DOUBLE_EQ(r->net_bytes_per_sec, 2e6);
 }
 
 TEST(IoSensor, CounterRegressionReprimesInsteadOfNegativeRates) {
   ScriptedIoHost host;
-  Harness h;
-  auto& reports = h.collect<SensorReport>("sensor:io");
-  const auto sensor = h.actors.spawn_as<IoSensor>(
-      "sensor", h.bus, h.bus.intern("sensor:io"), host);
+  IoSensor sensor(host);
 
   host.totals_ = {100.0, 1e6, 1e6};
-  sensor.tell(MonitorTick{seconds_to_ns(1)});
+  EXPECT_FALSE(sensor.observe(seconds_to_ns(1)));
   host.totals_ = {200.0, 2e6, 2e6};
-  sensor.tell(MonitorTick{seconds_to_ns(2)});
-  h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 1u);
+  EXPECT_TRUE(sensor.observe(seconds_to_ns(2)));
 
   // The counter source resets (device re-probe / wraparound at the OS
   // boundary): totals regress. Differencing across the reset would yield a
   // negative rate — the sensor must skip the tick and re-prime instead.
   host.totals_ = {10.0, 1e5, 1e5};
-  sensor.tell(MonitorTick{seconds_to_ns(3)});
-  h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 1u);  // No report on the reset tick.
+  EXPECT_FALSE(sensor.observe(seconds_to_ns(3)));  // No rates on the reset tick.
 
   // The next window differences against the POST-reset baseline.
   host.totals_ = {20.0, 2e5, 3e5};
-  sensor.tell(MonitorTick{seconds_to_ns(4)});
-  h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 2u);
-  const SensorReport& r = reports.items[1];
-  EXPECT_DOUBLE_EQ(r.disk_iops, 10.0);
-  EXPECT_DOUBLE_EQ(r.disk_bytes_per_sec, 1e5);
-  EXPECT_DOUBLE_EQ(r.net_bytes_per_sec, 2e5);
+  const auto r = sensor.observe(seconds_to_ns(4));
+  ASSERT_TRUE(r);
+  EXPECT_DOUBLE_EQ(r->disk_iops, 10.0);
+  EXPECT_DOUBLE_EQ(r->disk_bytes_per_sec, 1e5);
+  EXPECT_DOUBLE_EQ(r->net_bytes_per_sec, 2e5);
 }
 
 TEST(IoSensor, SilentWhenHostHasNoDisk) {
   os::System system(simcpu::i3_2120());  // No peripherals.
-  Harness h;
-  auto& reports = h.collect<SensorReport>("sensor:io");
-  const auto sensor = h.actors.spawn_as<IoSensor>(
-      "sensor", h.bus, h.bus.intern("sensor:io"), system);
-  for (int i = 1; i <= 3; ++i) {
-    sensor.tell(MonitorTick{seconds_to_ns(i)});
-    h.actors.drain();
-  }
-  EXPECT_TRUE(reports.items.empty());
+  IoSensor sensor(system);
+  for (int i = 1; i <= 3; ++i) EXPECT_FALSE(sensor.observe(seconds_to_ns(i)));
 }
 
 // --- The rates' contribution to the datasheet power estimate ---
 
 TEST(IoFormula, ChargesDatasheetEnergiesForReportedRates) {
-  Harness h;
-  auto& estimates = h.collect<PowerEstimate>("power:estimate");
   const periph::DiskParams disk;
   const periph::NicParams nic;
-  const auto formula = h.actors.spawn_as<IoFormula>(
-      "formula", h.bus, h.bus.intern("power:estimate"), disk, nic);
-
-  SensorReport report;
-  report.timestamp = seconds_to_ns(2);
-  report.pid = kMachinePid;
-  report.sensor = SensorKind::kIo;
-  report.window_seconds = 1.0;
-  report.disk_iops = 50.0;
-  report.disk_bytes_per_sec = 10e6;
-  report.net_bytes_per_sec = 4e6;
-  formula.tell(report);
-  h.actors.drain();
-
-  ASSERT_EQ(estimates.items.size(), 1u);
-  const PowerEstimate& e = estimates.items[0];
-  EXPECT_EQ(e.formula, "io-datasheet");
-  EXPECT_EQ(e.pid, kMachinePid);
+  IoRates rates;
+  rates.disk_iops = 50.0;
+  rates.disk_bytes_per_sec = 10e6;
+  rates.net_bytes_per_sec = 4e6;
   const double expected = disk.idle_spinning_watts + nic.link_active_watts +
                           50.0 * disk.joules_per_op +
                           10.0 * disk.joules_per_megabyte +
                           4.0 * (nic.joules_per_megabyte_tx +
                                  nic.joules_per_megabyte_rx) / 2.0;
-  EXPECT_DOUBLE_EQ(e.watts, expected);
-}
-
-TEST(IoFormula, IgnoresReportsFromOtherSensors) {
-  Harness h;
-  auto& estimates = h.collect<PowerEstimate>("power:estimate");
-  const auto formula = h.actors.spawn_as<IoFormula>(
-      "formula", h.bus, h.bus.intern("power:estimate"), periph::DiskParams{},
-      periph::NicParams{});
-  SensorReport report;
-  report.sensor = SensorKind::kHpc;  // Not an IO report.
-  formula.tell(report);
-  h.actors.drain();
-  EXPECT_TRUE(estimates.items.empty());
+  EXPECT_DOUBLE_EQ(io_datasheet_watts(rates, disk, nic), expected);
 }
 
 }  // namespace

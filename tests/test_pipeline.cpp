@@ -107,46 +107,24 @@ class ScriptedBackend final : public hpc::CounterBackend {
   std::map<std::int64_t, hpc::EventValues> values;
 };
 
-/// Flattens SensorBatch rows back into per-target SensorReports so the
-/// regression assertions stay row-level.
-class BatchRowCollector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    const auto* batch = envelope.payload.get<SensorBatch>();
-    if (batch == nullptr || !batch->features) return;
-    for (std::size_t i = 0; i < batch->features->rows(); ++i) {
-      SensorReport row;
-      static_cast<model::FeatureVector&>(row) = batch->features->row(i);
-      row.timestamp = batch->timestamp;
-      row.pid = batch->features->pid(i);
-      row.sensor = batch->sensor;
-      row.window_seconds = batch->features->window_seconds(i);
-      row.seq = batch->seq;
-      items.push_back(row);
-    }
-  }
-  std::vector<SensorReport> items;
-};
-
 TEST(HpcSensor, CounterRegressionRePrimesInsteadOfWrapping) {
-  actors::ActorSystem actors(actors::ActorSystem::Mode::kManual);
-  actors::EventBus bus(actors);
   ScriptedBackend backend;
   constexpr std::int64_t kPid = 42;
+  HpcSensor sensor(backend, nullptr);
+  const std::vector<std::int64_t> targets = {kPid};
 
-  auto collector = std::make_unique<BatchRowCollector>();
-  BatchRowCollector& reports = *collector;
-  bus.subscribe("sensor:hpc", actors.spawn("collector", std::move(collector)));
-  const auto sensor = actors.spawn_as<HpcSensor>(
-      "sensor", bus, bus.intern("sensor:hpc"), backend,
-      [] { return std::vector<std::int64_t>{kPid}; }, nullptr);
-
+  std::vector<double> pid_rates;  // Instruction rate of each completed pid row.
   auto tick = [&](int second, std::uint64_t instructions) {
     backend.values[hpc::Target::kMachine][hpc::EventId::kInstructions] =
         instructions * 10;  // Machine counters stay monotone throughout.
     backend.values[kPid][hpc::EventId::kInstructions] = instructions;
-    sensor.tell(MonitorTick{seconds_to_ns(second)});
-    actors.drain();
+    const model::FeatureMatrix* rows = sensor.observe(seconds_to_ns(second), targets);
+    if (rows == nullptr) return;
+    for (std::size_t i = 0; i < rows->rows(); ++i) {
+      if (rows->pid(i) == kPid) {
+        pid_rates.push_back(rows->rate_lane(hpc::EventId::kInstructions)[i]);
+      }
+    }
   };
 
   tick(1, 1'000'000);  // Primes.
@@ -156,22 +134,11 @@ TEST(HpcSensor, CounterRegressionRePrimesInsteadOfWrapping) {
   tick(3, 50'000);  // Regressed: must re-prime, not wrap to ~1.8e19/s.
   tick(4, 250'000);  // First window of the reincarnated pid.
 
-  std::vector<SensorReport> pid_rows;
-  for (const auto& r : reports.items) {
-    if (r.pid == kPid) pid_rows.push_back(r);
-  }
-  ASSERT_EQ(pid_rows.size(), 2u);  // Ticks 2 and 4; tick 3 only re-primed.
-  EXPECT_NEAR(model::rate_of(pid_rows[0].rates, hpc::EventId::kInstructions),
-              2e6, 1e-6);
+  ASSERT_EQ(pid_rates.size(), 2u);  // Ticks 2 and 4; tick 3 only re-primed.
+  EXPECT_NEAR(pid_rates[0], 2e6, 1e-6);
   // Post-reuse window differences against the tick-3 baseline (50k), not the
   // stale 3e6 snapshot: an unsigned wrap would read ~1.8e19 events/s.
-  EXPECT_NEAR(model::rate_of(pid_rows[1].rates, hpc::EventId::kInstructions),
-              2e5, 1e-6);
-  for (const auto& r : pid_rows) {
-    EXPECT_LT(model::rate_of(r.rates, hpc::EventId::kInstructions), 1e12);
-  }
-
-  actors.shutdown();
+  EXPECT_NEAR(pid_rates[1], 2e5, 1e-6);
 }
 
 // --- PowerMeter::run_for tick coalescing ---

@@ -1,19 +1,16 @@
-// Unit tests for the pipeline actors in isolation: sensors driven by
-// hand-crafted MonitorTicks, formulas fed synthetic SensorReports, and the
+// Unit tests for the pipeline stages in isolation: sensors driven by
+// hand-picked tick timestamps, formulas fed synthetic feature rows, and the
 // aggregator's watermark/flush semantics — complementing the end-to-end
-// PowerMeter tests with message-level checks.
+// PowerMeter tests with stage-level checks.
 #include <gtest/gtest.h>
 
-#include <any>
 #include <memory>
+#include <vector>
 
-#include "actors/actor_system.h"
-#include "actors/event_bus.h"
 #include "hpc/sim_backend.h"
 #include "os/system.h"
 #include "powerapi/aggregators.h"
 #include "powerapi/formulas.h"
-#include "powerapi/reporters.h"
 #include "powerapi/sensors.h"
 #include "workloads/behaviors.h"
 #include "workloads/stress.h"
@@ -22,67 +19,6 @@ namespace powerapi::api {
 namespace {
 
 using util::ms_to_ns;
-using util::seconds_to_ns;
-
-/// Collects raw payloads of one type from a topic.
-template <typename T>
-class Collector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    if (const T* value = envelope.payload.get<T>()) {
-      items.push_back(*value);
-    }
-  }
-  std::vector<T> items;
-};
-
-/// Flattens each SensorBatch into per-row SensorReports (the pre-SoA shape)
-/// so window-semantics assertions stay row-level.
-class BatchRowCollector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    const auto* batch = envelope.payload.get<SensorBatch>();
-    if (batch == nullptr || !batch->features) return;
-    for (std::size_t i = 0; i < batch->features->rows(); ++i) {
-      SensorReport row;
-      static_cast<model::FeatureVector&>(row) = batch->features->row(i);
-      row.timestamp = batch->timestamp;
-      row.pid = batch->features->pid(i);
-      row.sensor = batch->sensor;
-      row.window_seconds = batch->features->window_seconds(i);
-      row.seq = batch->seq;
-      row.tick_wall_ns = batch->tick_wall_ns;
-      items.push_back(row);
-    }
-  }
-  std::vector<SensorReport> items;
-};
-
-struct PipelineHarness {
-  PipelineHarness() : actors(actors::ActorSystem::Mode::kManual), bus(actors) {}
-
-  /// Stop actors while the bus is still alive: post_stop hooks (e.g. the
-  /// aggregator's flush) may publish.
-  ~PipelineHarness() { actors.shutdown(); }
-
-  template <typename T>
-  Collector<T>& collect(const std::string& topic) {
-    auto owned = std::make_unique<Collector<T>>();
-    Collector<T>& ref = *owned;
-    bus.subscribe(topic, actors.spawn("collector", std::move(owned)));
-    return ref;
-  }
-
-  BatchRowCollector& collect_batch_rows(const std::string& topic) {
-    auto owned = std::make_unique<BatchRowCollector>();
-    BatchRowCollector& ref = *owned;
-    bus.subscribe(topic, actors.spawn("collector", std::move(owned)));
-    return ref;
-  }
-
-  actors::ActorSystem actors;
-  actors::EventBus bus;
-};
 
 // --- HpcSensor ---
 
@@ -90,26 +26,19 @@ TEST(HpcSensor, FirstTickPrimesSecondTickReports) {
   os::System system(simcpu::i3_2120());
   system.spawn("app", std::make_unique<workloads::SteadyBehavior>(
                           workloads::cpu_stress(), 0));
-  PipelineHarness h;
   hpc::SimBackend backend(system);
-  auto& reports = h.collect_batch_rows("sensor:hpc");
-  const auto sensor = h.actors.spawn_as<HpcSensor>(
-      "sensor", h.bus, h.bus.intern("sensor:hpc"), backend,
-      [] { return std::vector<std::int64_t>{}; }, &system);
+  HpcSensor sensor(backend, &system);
 
   system.run_for(ms_to_ns(10));
-  sensor.tell(MonitorTick{system.now_ns()});
-  h.actors.drain();
-  EXPECT_TRUE(reports.items.empty());  // Priming tick: no window yet.
+  EXPECT_EQ(sensor.observe(system.now_ns(), {}), nullptr);  // Priming tick.
 
   system.run_for(ms_to_ns(10));
-  sensor.tell(MonitorTick{system.now_ns()});
-  h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 1u);  // Machine scope only.
-  const SensorReport& r = reports.items[0];
-  EXPECT_EQ(r.pid, kMachinePid);
-  EXPECT_EQ(r.sensor, SensorKind::kHpc);
-  EXPECT_NEAR(r.window_seconds, 0.010, 1e-9);
+  const model::FeatureMatrix* rows = sensor.observe(system.now_ns(), {});
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->rows(), 1u);  // Machine scope only.
+  EXPECT_EQ(rows->pid(0), kMachinePid);
+  EXPECT_NEAR(rows->window_seconds(0), 0.010, 1e-9);
+  const model::FeatureVector r = rows->row(0);
   EXPECT_GT(model::rate_of(r.rates, hpc::EventId::kInstructions), 0.0);
   EXPECT_GT(r.utilization, 0.0);
   EXPECT_DOUBLE_EQ(r.frequency_hz, 3.3e9);
@@ -119,225 +48,182 @@ TEST(HpcSensor, ReportsEachMonitoredPidAndForgetsDeadOnes) {
   os::System system(simcpu::i3_2120());
   const os::Pid pid = system.spawn(
       "app", std::make_unique<workloads::SteadyBehavior>(workloads::cpu_stress(), 0));
-  PipelineHarness h;
   hpc::SimBackend backend(system);
-  auto& reports = h.collect_batch_rows("sensor:hpc");
+  HpcSensor sensor(backend, &system);
   std::vector<std::int64_t> targets = {pid};
-  const auto sensor = h.actors.spawn_as<HpcSensor>(
-      "sensor", h.bus, h.bus.intern("sensor:hpc"), backend,
-      [&targets] { return targets; }, &system);
 
+  std::vector<std::int64_t> seen;
   for (int i = 0; i < 3; ++i) {
     system.run_for(ms_to_ns(10));
-    sensor.tell(MonitorTick{system.now_ns()});
-    h.actors.drain();
+    if (const auto* rows = sensor.observe(system.now_ns(), targets)) {
+      seen.insert(seen.end(), rows->pids(), rows->pids() + rows->rows());
+    }
   }
   // 2 reporting ticks x (machine + pid).
-  ASSERT_EQ(reports.items.size(), 4u);
-  int pid_rows = 0;
-  for (const auto& r : reports.items) {
-    if (r.pid == pid) ++pid_rows;
-  }
-  EXPECT_EQ(pid_rows, 2);
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{kMachinePid, pid, kMachinePid, pid}));
 
   // Kill the process and drop it from the target list (as monitor_all's
-  // dynamic provider does): the sensor must keep going without failing.
+  // dynamic provider does): the sensor must keep going.
   system.kill(pid);
   targets.clear();
-  reports.items.clear();
   system.run_for(ms_to_ns(10));
-  sensor.tell(MonitorTick{system.now_ns()});
-  h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 1u);
-  EXPECT_EQ(reports.items[0].pid, kMachinePid);
-  EXPECT_EQ(h.actors.failures(), 0u);
+  const auto* rows = sensor.observe(system.now_ns(), targets);
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->rows(), 1u);
+  EXPECT_EQ(rows->pid(0), kMachinePid);
 }
 
-TEST(HpcSensor, IgnoresNonTickPayloadsAndStaleTimestamps) {
+TEST(HpcSensor, IgnoresStaleTimestamps) {
   os::System system(simcpu::i3_2120());
-  PipelineHarness h;
   hpc::SimBackend backend(system);
-  auto& reports = h.collect_batch_rows("sensor:hpc");
-  const auto sensor = h.actors.spawn_as<HpcSensor>(
-      "sensor", h.bus, h.bus.intern("sensor:hpc"), backend,
-      [] { return std::vector<std::int64_t>{}; }, &system);
-
-  sensor.tell(std::string("not a tick"));
-  h.actors.drain();
-  EXPECT_TRUE(reports.items.empty());
-
+  HpcSensor sensor(backend, &system);
   system.run_for(ms_to_ns(5));
-  sensor.tell(MonitorTick{system.now_ns()});  // Prime.
-  sensor.tell(MonitorTick{system.now_ns()});  // Same timestamp: no window.
-  h.actors.drain();
-  EXPECT_TRUE(reports.items.empty());
-  EXPECT_EQ(h.actors.failures(), 0u);
+  EXPECT_EQ(sensor.observe(system.now_ns(), {}), nullptr);  // Prime.
+  EXPECT_EQ(sensor.observe(system.now_ns(), {}), nullptr);  // Same timestamp: no window.
 }
 
-// --- RegressionFormula ---
+// --- Regression formula ---
 
 TEST(RegressionFormula, MachineRowsGetIdleProcessRowsDoNot) {
-  PipelineHarness h;
   model::FrequencyFormula f;
   f.frequency_hz = 3.3e9;
   f.events = {hpc::EventId::kInstructions};
   f.coefficients = {2e-9};
-  model::CpuPowerModel model(30.0, {f});
-  const auto registry = std::make_shared<model::ModelRegistry>(std::move(model));
-  const auto formula = h.actors.spawn_as<RegressionFormula>(
-      "formula", h.bus, h.bus.intern("power:estimate"), registry);
-  auto& estimates = h.collect<PowerEstimate>("power:estimate");
+  const model::CpuPowerModel model(30.0, {f});
 
-  SensorReport machine;
-  machine.sensor = SensorKind::kHpc;
-  machine.pid = kMachinePid;
-  machine.frequency_hz = 3.3e9;
-  model::set_rate(machine.rates, hpc::EventId::kInstructions, 1e9);
-  formula.tell(machine);
+  model::FeatureMatrix features;
+  features.frequency_hz = 3.3e9;
+  features.resize(2);
+  features.pids()[0] = kMachinePid;
+  features.pids()[1] = 42;
+  features.rate_lane(hpc::EventId::kInstructions)[0] = 1e9;
+  features.rate_lane(hpc::EventId::kInstructions)[1] = 1e9;
+  std::vector<double> watts;
+  estimate_regression_rows(model, features, watts);
+  ASSERT_EQ(watts.size(), 2u);
+  EXPECT_NEAR(watts[0], 30.0 + 2.0, 1e-9);  // Idle + activity.
+  EXPECT_NEAR(watts[1], 2.0, 1e-9);         // Activity only.
 
-  SensorReport process = machine;
-  process.pid = 42;
-  formula.tell(process);
-
-  // A non-hpc report must be ignored.
-  SensorReport io = machine;
-  io.sensor = SensorKind::kIo;
-  formula.tell(io);
-
-  h.actors.drain();
-  ASSERT_EQ(estimates.items.size(), 2u);
-  EXPECT_NEAR(estimates.items[0].watts, 30.0 + 2.0, 1e-9);  // Idle + activity.
-  EXPECT_EQ(estimates.items[1].pid, 42);
-  EXPECT_NEAR(estimates.items[1].watts, 2.0, 1e-9);  // Activity only.
+  // An empty model (cold-start calibration) estimates the idle floor only.
+  estimate_regression_rows(model::CpuPowerModel(25.0, {}), features, watts);
+  EXPECT_EQ(watts, (std::vector<double>{25.0, 0.0}));
 }
 
 // --- Aggregator watermark semantics ---
 
-PowerEstimate estimate_of(util::TimestampNs t, std::int64_t pid, double watts,
-                          const char* formula = "powerapi-hpc") {
-  PowerEstimate e;
-  e.timestamp = t;
-  e.pid = pid;
-  e.formula = formula;
-  e.watts = watts;
-  return e;
-}
+struct AggregatorHarness {
+  explicit AggregatorHarness(AggregationDimension dimension,
+                             Aggregator::GroupResolver resolver = {})
+      : aggregator(dimension, std::move(resolver),
+                   [this](AggregatedPower&& row) { rows.push_back(std::move(row)); }) {}
+
+  void absorb(util::TimestampNs t, std::int64_t pid, double watts,
+              const char* formula = "powerapi-hpc") {
+    aggregator.absorb(aggregator.intern(formula), t, pid, watts, 0, 0);
+  }
+
+  std::vector<AggregatedPower> rows;
+  Aggregator aggregator;
+};
 
 TEST(AggregatorUnit, TimestampModeEmitsOnWatermarkAdvance) {
-  PipelineHarness h;
-  const auto agg = h.actors.spawn_as<Aggregator>(
-      "agg", h.bus, h.bus.intern("power:aggregated"), AggregationDimension::kTimestamp);
-  auto& rows = h.collect<AggregatedPower>("power:aggregated");
+  AggregatorHarness h(AggregationDimension::kTimestamp);
+  h.absorb(100, 1, 3.0);
+  h.absorb(100, 2, 4.0);
+  EXPECT_TRUE(h.rows.empty());  // Group still open.
 
-  agg.tell(estimate_of(100, 1, 3.0));
-  agg.tell(estimate_of(100, 2, 4.0));
-  h.actors.drain();
-  EXPECT_TRUE(rows.items.empty());  // Group still open.
-
-  agg.tell(estimate_of(200, 1, 5.0));  // Watermark advances: t=100 emits.
-  h.actors.drain();
-  ASSERT_EQ(rows.items.size(), 1u);
-  EXPECT_EQ(rows.items[0].timestamp, 100);
-  EXPECT_NEAR(rows.items[0].watts, 7.0, 1e-12);  // Sum of per-pid rows.
+  h.absorb(200, 1, 5.0);  // Watermark advances: t=100 emits.
+  ASSERT_EQ(h.rows.size(), 1u);
+  EXPECT_EQ(h.rows[0].timestamp, 100);
+  EXPECT_NEAR(h.rows[0].watts, 7.0, 1e-12);  // Sum of per-pid rows.
 }
 
 TEST(AggregatorUnit, MachineRowWinsOverPerPidSum) {
-  PipelineHarness h;
-  const auto agg = h.actors.spawn_as<Aggregator>(
-      "agg", h.bus, h.bus.intern("power:aggregated"), AggregationDimension::kTimestamp);
-  auto& rows = h.collect<AggregatedPower>("power:aggregated");
-  agg.tell(estimate_of(100, 1, 3.0));
-  agg.tell(estimate_of(100, kMachinePid, 40.0));  // Includes idle.
-  agg.tell(estimate_of(200, 1, 1.0));
-  h.actors.drain();
-  ASSERT_EQ(rows.items.size(), 1u);
-  EXPECT_NEAR(rows.items[0].watts, 40.0, 1e-12);
+  AggregatorHarness h(AggregationDimension::kTimestamp);
+  h.absorb(100, 1, 3.0);
+  h.absorb(100, kMachinePid, 40.0);  // Includes idle.
+  h.absorb(200, 1, 1.0);
+  ASSERT_EQ(h.rows.size(), 1u);
+  EXPECT_NEAR(h.rows[0].watts, 40.0, 1e-12);
 }
 
 TEST(AggregatorUnit, FormulasAggregateIndependently) {
-  PipelineHarness h;
-  const auto agg = h.actors.spawn_as<Aggregator>(
-      "agg", h.bus, h.bus.intern("power:aggregated"), AggregationDimension::kTimestamp);
-  auto& rows = h.collect<AggregatedPower>("power:aggregated");
-  agg.tell(estimate_of(100, 1, 3.0, "a"));
-  agg.tell(estimate_of(100, 1, 9.0, "b"));
-  agg.tell(estimate_of(200, 1, 1.0, "a"));  // Only formula a's watermark moves.
-  h.actors.drain();
-  ASSERT_EQ(rows.items.size(), 1u);
-  EXPECT_EQ(rows.items[0].formula, "a");
-  EXPECT_NEAR(rows.items[0].watts, 3.0, 1e-12);
+  AggregatorHarness h(AggregationDimension::kTimestamp);
+  h.absorb(100, 1, 3.0, "a");
+  h.absorb(100, 1, 9.0, "b");
+  h.absorb(200, 1, 1.0, "a");  // Only formula a's watermark moves.
+  ASSERT_EQ(h.rows.size(), 1u);
+  EXPECT_EQ(h.rows[0].formula, "a");
+  EXPECT_NEAR(h.rows[0].watts, 3.0, 1e-12);
 }
 
-TEST(AggregatorUnit, StopFlushesPendingGroups) {
-  PipelineHarness h;
-  const auto agg = h.actors.spawn_as<Aggregator>(
-      "agg", h.bus, h.bus.intern("power:aggregated"), AggregationDimension::kTimestamp);
-  auto& rows = h.collect<AggregatedPower>("power:aggregated");
-  agg.tell(estimate_of(100, 1, 3.0, "a"));
-  agg.tell(estimate_of(100, 1, 9.0, "b"));
-  h.actors.drain();
-  h.actors.stop(agg);  // post_stop flush.
-  h.actors.drain();
-  EXPECT_EQ(rows.items.size(), 2u);
+TEST(AggregatorUnit, EqualFormulaNamesShareOneGroup) {
+  AggregatorHarness h(AggregationDimension::kTimestamp);
+  EXPECT_EQ(h.aggregator.intern("a"), h.aggregator.intern("a"));
+  EXPECT_NE(h.aggregator.intern("a"), h.aggregator.intern("b"));
+}
+
+TEST(AggregatorUnit, FlushEmitsPendingGroupsInFormulaNameOrder) {
+  AggregatorHarness h(AggregationDimension::kTimestamp);
+  h.absorb(100, 1, 9.0, "b");
+  h.absorb(100, 1, 3.0, "a");
+  h.aggregator.flush();
+  ASSERT_EQ(h.rows.size(), 2u);
+  EXPECT_EQ(h.rows[0].formula, "a");
+  EXPECT_EQ(h.rows[1].formula, "b");
+  h.aggregator.flush();  // Nothing left pending.
+  EXPECT_EQ(h.rows.size(), 2u);
 }
 
 TEST(AggregatorUnit, GroupModeRoutesByResolver) {
-  PipelineHarness h;
-  Aggregator::GroupResolver resolver = [](std::int64_t pid) {
+  AggregatorHarness h(AggregationDimension::kGroup, [](std::int64_t pid) {
     return pid < 10 ? "small" : "large";
-  };
-  const auto agg = h.actors.spawn_as<Aggregator>(
-      "agg", h.bus, h.bus.intern("power:aggregated"), AggregationDimension::kGroup,
-      resolver);
-  auto& rows = h.collect<AggregatedPower>("power:aggregated");
+  });
+  h.absorb(100, 1, 1.0);
+  h.absorb(100, 2, 2.0);
+  h.absorb(100, 20, 7.0);
+  h.absorb(100, kMachinePid, 50.0);
+  h.absorb(200, 1, 1.0);  // Advance watermark.
 
-  agg.tell(estimate_of(100, 1, 1.0));
-  agg.tell(estimate_of(100, 2, 2.0));
-  agg.tell(estimate_of(100, 20, 7.0));
-  agg.tell(estimate_of(100, kMachinePid, 50.0));
-  agg.tell(estimate_of(200, 1, 1.0));  // Advance watermark.
-  h.actors.drain();
+  // One row per label, in label order.
+  ASSERT_EQ(h.rows.size(), 3u);
+  EXPECT_EQ(h.rows[0].group, "(machine)");
+  EXPECT_NEAR(h.rows[0].watts, 50.0, 1e-12);
+  EXPECT_EQ(h.rows[1].group, "large");
+  EXPECT_NEAR(h.rows[1].watts, 7.0, 1e-12);
+  EXPECT_EQ(h.rows[2].group, "small");
+  EXPECT_NEAR(h.rows[2].watts, 3.0, 1e-12);
 
-  ASSERT_EQ(rows.items.size(), 3u);  // small, large, (machine).
-  double small = 0;
-  double large = 0;
-  double machine = 0;
-  for (const auto& row : rows.items) {
-    if (row.group == "small") small = row.watts;
-    if (row.group == "large") large = row.watts;
-    if (row.group == "(machine)") machine = row.watts;
-  }
-  EXPECT_NEAR(small, 3.0, 1e-12);
-  EXPECT_NEAR(large, 7.0, 1e-12);
-  EXPECT_NEAR(machine, 50.0, 1e-12);
+  // Only labels seen since the last emit are emitted again.
+  h.aggregator.flush();
+  ASSERT_EQ(h.rows.size(), 4u);
+  EXPECT_EQ(h.rows[3].group, "small");
+  EXPECT_NEAR(h.rows[3].watts, 1.0, 1e-12);
 }
 
-// --- IoFormula unit ---
+TEST(AggregatorUnit, PidModeForwardsEveryRow) {
+  AggregatorHarness h(AggregationDimension::kPid);
+  h.absorb(100, 1, 1.0);
+  h.absorb(100, kMachinePid, 40.0);
+  ASSERT_EQ(h.rows.size(), 2u);
+  EXPECT_EQ(h.rows[0].pid, 1);
+  EXPECT_EQ(h.rows[1].pid, kMachinePid);
+}
+
+// --- IO datasheet formula ---
 
 TEST(IoFormulaUnit, ChargesDatasheetEnergies) {
-  PipelineHarness h;
   periph::DiskParams disk;
   periph::NicParams nic;
-  const auto formula = h.actors.spawn_as<IoFormula>(
-      "formula", h.bus, h.bus.intern("power:estimate"), disk, nic);
-  auto& estimates = h.collect<PowerEstimate>("power:estimate");
-
-  SensorReport report;
-  report.sensor = SensorKind::kIo;
-  report.pid = kMachinePid;
-  report.disk_iops = 50;
-  report.disk_bytes_per_sec = 10e6;
-  report.net_bytes_per_sec = 20e6;
-  formula.tell(report);
-  h.actors.drain();
-
-  ASSERT_EQ(estimates.items.size(), 1u);
+  IoRates rates;
+  rates.disk_iops = 50;
+  rates.disk_bytes_per_sec = 10e6;
+  rates.net_bytes_per_sec = 20e6;
   const double expected =
       disk.idle_spinning_watts + nic.link_active_watts + 50 * disk.joules_per_op +
       10 * disk.joules_per_megabyte +
       20 * (nic.joules_per_megabyte_tx + nic.joules_per_megabyte_rx) / 2.0;
-  EXPECT_NEAR(estimates.items[0].watts, expected, 1e-9);
-  EXPECT_EQ(estimates.items[0].formula, "io-datasheet");
+  EXPECT_NEAR(io_datasheet_watts(rates, disk, nic), expected, 1e-9);
 }
 
 }  // namespace
