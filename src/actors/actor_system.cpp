@@ -171,11 +171,13 @@ void ActorSystem::raise_mail_hint(Cell& cell) {
 }
 
 void ActorSystem::clear_mail_hint(Cell& cell) {
-  // Clear-then-recheck: if a concurrent tell lands between the empty()
-  // observation and the clear, the recheck re-arms the hint, so no message
-  // is stranded behind a cleared flag.
-  cell.has_mail.store(false, std::memory_order_relaxed);
-  hinted_cells_.fetch_sub(1, std::memory_order_relaxed);
+  // Only a set→clear transition uncounts the cell: a receive() that drains
+  // reentrantly may already have cleared it. Clear-then-recheck: if a
+  // concurrent tell lands between the empty() observation and the clear,
+  // the recheck re-arms the hint, so no message is stranded behind it.
+  if (cell.has_mail.exchange(false, std::memory_order_acq_rel)) {
+    hinted_cells_.fetch_sub(1, std::memory_order_relaxed);
+  }
   if (!cell.mailbox.empty()) raise_mail_hint(cell);
 }
 

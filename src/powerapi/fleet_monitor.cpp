@@ -12,7 +12,7 @@ namespace powerapi::api {
 /// One threaded round: the step every host advances by, and the cursor
 /// the round drivers claim hosts from.
 struct FleetMonitor::Round {
-  std::vector<Pipeline*> pipelines;  ///< Host order.
+  std::vector<HostEntry*> hosts;     ///< Host order.
   util::DurationNs step = 0;
   std::size_t max_claim = 1;         ///< Options.hosts_per_chunk, at least 1.
   std::size_t drivers = 1;
@@ -24,8 +24,8 @@ struct FleetMonitor::Round {
     begin = next.load(std::memory_order_relaxed);
     std::size_t count = 0;
     do {
-      if (begin >= pipelines.size()) return false;
-      const std::size_t remaining = pipelines.size() - begin;
+      if (begin >= hosts.size()) return false;
+      const std::size_t remaining = hosts.size() - begin;
       count = std::min(max_claim, (remaining + 2 * drivers - 1) / (2 * drivers));
     } while (!next.compare_exchange_weak(begin, begin + count, std::memory_order_acq_rel,
                                          std::memory_order_relaxed));
@@ -33,16 +33,6 @@ struct FleetMonitor::Round {
     return true;
   }
 };
-
-namespace {
-
-/// One host's part of a round, the same code in both dispatch modes.
-void step_host(Pipeline& pipeline, util::DurationNs step) {
-  pipeline.host().advance(step);
-  pipeline.run_due_ticks();
-}
-
-}  // namespace
 
 /// Threaded mode: on every RunRound, claims hosts from the round's cursor
 /// until none are left. One driver per worker; a host is advanced by exactly
@@ -58,7 +48,7 @@ class FleetMonitor::RoundDriver final : public actors::Actor {
     std::size_t begin = 0;
     std::size_t end = 0;
     while (round_->claim(begin, end)) {
-      for (std::size_t i = begin; i < end; ++i) step_host(*round_->pipelines[i], round_->step);
+      for (std::size_t i = begin; i < end; ++i) round_->hosts[i]->step(round_->step);
     }
   }
 
@@ -180,14 +170,17 @@ void FleetMonitor::settle() {
 }
 
 void FleetMonitor::run_round(util::DurationNs step) {
-  // Pin every host's model first: a calibration swap during this round is
-  // seen by every host (shared registry or not) from the next round on.
-  for (const auto& entry : entries_) entry->pipeline->pin_model();
+  // Pin every host's model first: a calibration swap during this round
+  // reaches every host's regression formula from the next round on.
+  for (const auto& entry : entries_) {
+    const auto& registry = entry->pipeline->registry();
+    if (registry != nullptr) entry->model = registry->current();
+  }
   if (actors_.mode() == actors::ActorSystem::Mode::kManual) {
     // Each host's rows reach its reporters before the next host runs, so
     // mailboxes hold at most one host's output.
     for (const auto& entry : entries_) {
-      step_host(*entry->pipeline, step);
+      entry->step(step);
       actors_.drain();
     }
   } else {
@@ -200,8 +193,8 @@ void FleetMonitor::run_round(util::DurationNs step) {
             "fleet/round-driver/" + std::to_string(i), round_.get()));
       }
     }
-    round_->pipelines.clear();
-    for (const auto& entry : entries_) round_->pipelines.push_back(entry->pipeline.get());
+    round_->hosts.clear();
+    for (const auto& entry : entries_) round_->hosts.push_back(entry.get());
     round_->step = step;
     round_->next.store(0, std::memory_order_relaxed);
     // A fleet smaller than the pool wakes only as many drivers as it has

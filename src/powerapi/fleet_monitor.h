@@ -10,7 +10,10 @@
 // cursor (guided self-scheduling: min(hosts_per_chunk, ⌈remaining / 2·
 // workers⌉) hosts per claim) and runs them; a host is touched by exactly
 // one driver per round, and its chain is the same straight-line code as in
-// kManual, so threaded per-host series equal manual by construction.
+// kManual, so threaded per-host series equal manual by construction —
+// unless hosts calibrate against one shared registry: a calibrator reads
+// the live registry, so it can see a swap another host made earlier in
+// the same round, and under kThreaded that depends on the claim order.
 //
 // The fleet dimension: a FleetAggregator subscribes to every host's
 // "h<i>/power:aggregated" topic and re-publishes per-formula machine-power
@@ -116,6 +119,14 @@ class FleetMonitor {
   struct HostEntry {
     os::MonitorableHost* host = nullptr;
     std::unique_ptr<Pipeline> pipeline;
+    /// The registry snapshot pinned for the current round.
+    std::shared_ptr<const model::ModelRegistry::Snapshot> model;
+
+    /// This host's part of a round, the same code in both dispatch modes.
+    void step(util::DurationNs step) {
+      host->advance(step);
+      pipeline->run_due_ticks(model.get());
+    }
   };
   struct Round;
   class RoundDriver;

@@ -42,19 +42,15 @@ void Pipeline::monitor(std::vector<std::int64_t> pids) { chain_->monitor(std::mo
 
 void Pipeline::monitor_all() { chain_->monitor_all(); }
 
-void Pipeline::pin_model() {
-  if (registry_ != nullptr) pinned_ = registry_->current();
-}
-
-std::uint64_t Pipeline::publish_due_ticks() {
-  pin_model();
-  return run_due_ticks();
-}
-
-std::uint64_t Pipeline::run_due_ticks() {
+std::uint64_t Pipeline::run_due_ticks(const model::ModelRegistry::Snapshot* model) {
   const util::TimestampNs now = host_->now_ns();
   const std::uint64_t due = ticker_.due(now);
   if (due == 0) return 0;
+  std::shared_ptr<const model::ModelRegistry::Snapshot> current;
+  if (model == nullptr && registry_ != nullptr) {
+    current = registry_->current();
+    model = current.get();
+  }
   const bool observed = obs_ != nullptr && obs_->enabled();
   const bool tick_subscribed = bus_->subscriber_count(tick_topic_) > 0;
   for (std::uint64_t i = 0; i < due; ++i) {
@@ -66,7 +62,7 @@ std::uint64_t Pipeline::run_due_ticks() {
       obs_->trace.instant(tick_name_, tick.wall_ns, tick.seq);
     }
     if (tick_subscribed) bus_->publish(tick_topic_, tick);
-    const auto update = chain_->run(tick, pinned_.get());
+    const auto update = chain_->run(tick, model);
     if (update && bus_->subscriber_count(calibration_topic_) > 0) {
       bus_->publish(calibration_topic_, *update);
     }

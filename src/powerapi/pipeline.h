@@ -59,17 +59,13 @@ class Pipeline {
 
   // --- Driving ---
   /// Runs one tick through the stage chain per period elapsed on the host
-  /// clock since the last call (catch-up semantics), with the registry
-  /// snapshot pinned at the start of the call. Returns the number of ticks.
-  /// A MonitorTick is published on the bus only when something subscribes
-  /// to the tick topic (a metrics reporter).
-  std::uint64_t publish_due_ticks();
-  /// Pins the registry's current snapshot for the regression formula.
-  /// A fleet pins every host before a round, so a calibration swap made
-  /// during the round is seen by every host from the next round on.
-  void pin_model();
-  /// publish_due_ticks() without the pin: the caller pinned.
-  std::uint64_t run_due_ticks();
+  /// clock since the last call (catch-up semantics). Returns the number of
+  /// ticks. The regression formula reads `model`, a registry snapshot the
+  /// caller holds (a fleet pins one per host per round); null reads the
+  /// registry's current snapshot at the start of the call. A MonitorTick
+  /// is published on the bus only when something subscribes to the tick
+  /// topic (a metrics reporter).
+  std::uint64_t run_due_ticks(const model::ModelRegistry::Snapshot* model = nullptr);
 
   // --- Attachments (before the first tick, ideally) ---
   void add_estimator(std::shared_ptr<const baselines::MachinePowerEstimator> estimator);
@@ -121,7 +117,6 @@ class Pipeline {
   os::MonitorableHost* host_;
   std::string ns_;
   std::shared_ptr<model::ModelRegistry> registry_;
-  std::shared_ptr<const model::ModelRegistry::Snapshot> pinned_;
   actors::Ticker ticker_;
   actors::EventBus::TopicId tick_topic_;
   actors::EventBus::TopicId aggregated_topic_;

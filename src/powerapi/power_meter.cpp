@@ -65,7 +65,7 @@ void PowerMeter::run_for(util::DurationNs duration) {
     const util::DurationNs chunk =
         std::min<util::DurationNs>(config_.period, deadline - host_->now_ns());
     host_->advance(chunk);
-    pipeline_->publish_due_ticks();
+    pipeline_->run_due_ticks();
     actors_.drain();
   }
 }

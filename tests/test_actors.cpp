@@ -104,6 +104,37 @@ TEST(ActorSystem, MaxMessagesBoundsDrain) {
   EXPECT_EQ(system.drain(), 7u);
 }
 
+/// Stops itself, then drains the whole system, from inside its receive().
+class ReentrantDrainer final : public Actor {
+ public:
+  explicit ReentrantDrainer(ActorSystem& system) : system_(&system) {}
+  void receive(Envelope&) override {
+    system_->stop(self());
+    system_->drain();
+  }
+
+ private:
+  ActorSystem* system_;
+};
+
+TEST(ActorSystem, ReentrantDrainLeavesLaterMailDeliverable) {
+  // The inner drain visits the drainer as a stopped cell and clears its
+  // mail hint; the outer drain clears it again once the message is
+  // consumed. The hint count must stay exact through both clears, or a
+  // later drain() would take the system for quiescent while a mailbox
+  // still holds mail.
+  ActorSystem system(ActorSystem::Mode::kManual);
+  const auto drainer = system.spawn("drainer", std::make_unique<ReentrantDrainer>(system));
+  auto owned = std::make_unique<Recorder>();
+  Recorder* recorder = owned.get();
+  const auto ref = system.spawn("recorder", std::move(owned));
+  drainer.tell(0);
+  EXPECT_EQ(system.drain(), 1u);
+  ref.tell(7);
+  EXPECT_EQ(system.drain(), 1u);
+  EXPECT_EQ(recorder->values, (std::vector<int>{7}));
+}
+
 // --- Supervision ---
 
 class Flaky final : public Actor {
